@@ -79,56 +79,159 @@ class _Parser(argparse.ArgumentParser):
 # set/colouring text format
 # ---------------------------------------------------------------------------
 
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MAX_DIGITS = 18  # every 18-digit decimal fits in int64
+
+
+def _put_decimal(buf: np.ndarray, last: np.ndarray, x: np.ndarray) -> None:
+    """Write each x >= 0 in decimal into buf, its last digit at index `last`."""
+    while len(x):
+        x, digit = np.divmod(x, 10)
+        buf[last] = digit.astype(np.uint8) + np.uint8(ord("0"))
+        more = x > 0
+        first = int(np.argmax(more))
+        if more[first:].all():  # a suffix, as for sorted x: slice, don't copy
+            x, last = x[first:], last[first:]
+        else:
+            x, last = x[more], last[more]
+        last = last - 1
+
+
+def _pairs_to_text(header: str, first: np.ndarray, second: np.ndarray) -> str:
+    """header, then one ``first second`` line per entry, every line ending in newline."""
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    w1 = np.searchsorted(_POW10[1:], first, side="right") + 1
+    w2 = np.searchsorted(_POW10[1:], second, side="right") + 1
+    ends = np.cumsum(w1 + w2 + 2)  # one past each line's newline
+    buf = np.full(int(ends[-1]) if len(ends) else 0, ord(" "), dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    _put_decimal(buf, ends - w2 - 3, first)
+    _put_decimal(buf, ends - 2, second)
+    return header + "\n" + buf.tobytes().decode("ascii")
+
+
 def colouring_to_text(colouring: Colouring) -> str:
     iv = colouring.ground.interval
-    lines = [f"# interval {iv.lo} {iv.hi} {colouring.k}"]
-    for m in colouring.ground.members():
-        lines.append(f"{int(m)} {colouring.colour_of(int(m))}")
-    return "\n".join(lines) + "\n"
+    members = colouring.ground.members()
+    return _pairs_to_text(f"# interval {iv.lo} {iv.hi} {colouring.k}",
+                          members, colouring.dense()[members])
 
 
 def subset_to_text(subset: IntegerSubset) -> str:
     """A bare set is written as a 1-colouring."""
     iv = subset.interval
-    lines = [f"# interval {iv.lo} {iv.hi} 1"]
-    lines.extend(f"{int(m)} 1" for m in subset.members())
-    return "\n".join(lines) + "\n"
+    members = subset.members()
+    return _pairs_to_text(f"# interval {iv.lo} {iv.hi} 1",
+                          members, np.ones(len(members), dtype=np.int64))
+
+
+def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``element colour`` lines of `body`; blank lines are skipped.
+
+    `first_line` is the 1-based line number of the body's first line,
+    used in error messages.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    digit = (buf - np.uint8(ord("0"))) < 10
+    is_nl = buf == ord("\n")
+
+    def bad_line(line: int, why: str) -> ValueError:
+        text = body.split(b"\n", line + 1)[line].decode("ascii", "replace").strip()
+        return ValueError(f"line {first_line + line}: {why}, got {text!r}")
+
+    junk = ~(digit | is_nl | (buf == ord(" ")) | (buf == ord("\r")) | (buf == ord("\t")))
+    if junk.any():
+        line = int(np.count_nonzero(is_nl[:np.argmax(junk)]))
+        raise bad_line(line, "expected 'element colour' as two non-negative integers")
+    edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    start = edge[:-1] == 1
+    # tokens per line: walk the token starts and newlines in text order
+    events = np.flatnonzero(start | is_nl)
+    ev_nl = is_nl[events]
+    line_of = np.cumsum(ev_nl)[~ev_nl]
+    per_line = np.bincount(line_of)
+    odd = (per_line != 0) & (per_line != 2)
+    if odd.any():
+        raise bad_line(int(np.argmax(odd)), "expected one 'element colour' pair")
+    width = np.flatnonzero(edge == -1) - events[~ev_nl]
+    too_long = width > _MAX_DIGITS
+    if too_long.any():
+        raise bad_line(int(line_of[np.argmax(too_long)]),
+                       f"integer longer than {_MAX_DIGITS} digits")
+    # only digits and whitespace are left, so the C parser reads every token
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(values) != len(width):
+        raise RuntimeError(f"parsed {len(values)} integers from {len(width)} tokens")
+    return values[0::2], values[1::2]
 
 
 def colouring_from_text(text: str) -> Colouring:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# interval"):
-        raise ValueError("missing '# interval lo hi k' header")
-    _, _, lo, hi, k = lines[0].split()
-    lo, hi, k = int(lo), int(hi), int(k)
-    colour_of = {}
-    for ln in lines[1:]:
-        elem, col = ln.split()
-        colour_of[int(elem)] = int(col)
-    ground = IntegerSubset.from_members(Interval(lo, hi), colour_of.keys())
-    return Colouring.from_map(ground, k, colour_of)
+    """Parse the format `colouring_to_text` writes, rejecting anything else.
+
+    Raises ValueError for a header other than ``# interval lo hi k``, a
+    line other than two non-negative integers, a duplicate element, an
+    element outside [lo, hi] or a colour outside 1..k.  Elements may come
+    in any order; blank lines are skipped.
+    """
+    stripped = text.lstrip()
+    lead = text[:len(text) - len(stripped)].count("\n")
+    head, _, body = stripped.partition("\n")
+    tokens = head.split()
+    try:
+        if len(tokens) != 5 or tokens[:2] != ["#", "interval"]:
+            raise ValueError
+        lo, hi, k = (int(t) for t in tokens[2:])
+    except ValueError:
+        raise ValueError(f"bad header {head.strip()!r}: expected "
+                         f"'# interval lo hi k'") from None
+    iv = Interval(lo, hi)
+    if not 1 <= k <= 127:
+        raise ValueError(f"colour count k={k} out of supported range 1..127")
+    # a non-ASCII character raises UnicodeEncodeError, a ValueError
+    elems, colours = _parse_pairs(body.encode("ascii"), lead + 2)
+    outside = (elems < lo) | (elems > hi)
+    if outside.any():
+        raise ValueError(f"element {elems[outside][0]} outside [{lo}, {hi}]")
+    bad = (colours < 1) | (colours > k)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"element {elems[i]} has colour {colours[i]} outside 1..{k}")
+    col = np.zeros(len(iv), dtype=np.int8)
+    col[elems - lo] = colours
+    member = col > 0
+    if np.count_nonzero(member) != len(elems):
+        srt = np.sort(elems)
+        dup = srt[1:][srt[1:] == srt[:-1]][0]
+        raise ValueError(f"duplicate element {dup}")
+    return Colouring(IntegerSubset(iv, member), k, col)
 
 
 # ---------------------------------------------------------------------------
 # manifest plumbing
 # ---------------------------------------------------------------------------
 
-def _manifest(args: argparse.Namespace, seed: Optional[int], wall: float) -> dict:
+def _manifest(args: argparse.Namespace, seed: Optional[int], wall: float,
+              timings: Optional[dict] = None) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str)
                             .encode()).hexdigest()
-    return {
+    manifest = {
         "command": " ".join(sys.argv),
         "config_digest": digest,
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(wall, 3),
     }
+    if timings is not None:
+        manifest["timings"] = timings
+    return manifest
 
 
 def _emit(args: argparse.Namespace, payload: str, seed: Optional[int],
-          wall: float) -> None:
-    manifest = _manifest(args, seed, wall)
+          wall: float, timings: Optional[dict] = None) -> None:
+    """Write the payload and its manifest; `timings` are per-phase seconds."""
+    manifest = _manifest(args, seed, wall, timings)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -185,51 +288,64 @@ def _cmd_gstar(args) -> int:
     return EXIT_OK
 
 
-def _build_construction(args) -> tuple[str, str]:
-    """Returns (payload text, verification report)."""
-    name = args.name
+def _construction(args):
+    """(build, report, to_text) for the named construction.
+
+    build() returns the object, report(obj) verifies it and returns the
+    report text, to_text(obj) the payload.
+    """
+    name, n = args.name, args.n
     if name == "log-product":
         if args.k is None:
             raise _UsageError("--k is required for log-product")
-        colouring = product_free_colouring(args.k, args.n)
-        violations = verify_colouring_free(colouring, TripleSystem.PRODUCT)
-        report = (f"construction: log-product k={args.k} n={args.n}\n"
-                  f"ground: ({colouring.ground.interval.lo - 1}, {args.n}]\n"
-                  f"violations: {len(violations)}\n")
-        return colouring_to_text(colouring), report
+
+        def report(colouring):
+            violations = verify_colouring_free(colouring, TripleSystem.PRODUCT)
+            return (f"construction: log-product k={args.k} n={n}\n"
+                    f"ground: ({colouring.ground.interval.lo - 1}, {n}]\n"
+                    f"violations: {len(violations)}\n")
+        return lambda: product_free_colouring(args.k, n), report, colouring_to_text
     if name == "mod5":
-        ground, colouring = mod5_colouring(args.n)
-        violations = verify_colouring_free(colouring, TripleSystem.SUM)
-        report = (f"construction: mod5 n={args.n}\n"
-                  f"size: {ground.cardinality()} (ceil(4n/5) = {-(-4 * args.n // 5)})\n"
-                  f"violations: {len(violations)}\n")
-        return colouring_to_text(colouring), report
+        def report(colouring):
+            violations = verify_colouring_free(colouring, TripleSystem.SUM)
+            return (f"construction: mod5 n={n}\n"
+                    f"size: {colouring.ground.cardinality()} (ceil(4n/5) = {-(-4 * n // 5)})\n"
+                    f"violations: {len(violations)}\n")
+        return lambda: mod5_colouring(n)[1], report, colouring_to_text
     if name == "eleven":
-        colouring = eleven_interval_colouring(args.n)
-        mono = count_monochromatic(colouring, TripleSystem.SUM)
-        report = (f"construction: eleven n={args.n}\n"
-                  f"monochromatic_sum_triples: {mono}\n"
-                  f"reference_n2_over_22: {args.n * args.n / 22:.1f}\n")
-        return colouring_to_text(colouring), report
+        def report(colouring):
+            mono = count_monochromatic(colouring, TripleSystem.SUM)
+            return (f"construction: eleven n={n}\n"
+                    f"monochromatic_sum_triples: {mono}\n"
+                    f"reference_n2_over_22: {n * n / 22:.1f}\n")
+        return lambda: eleven_interval_colouring(n), report, colouring_to_text
     if name == "blocker":
         if args.alpha is None:
             raise _UsageError("--alpha is required for blocker")
-        subset = perturbed_blocker_set(args.n, args.alpha)
-        triple_free = not contains_product_triple(subset)
-        report = (f"construction: blocker n={args.n} alpha={args.alpha}\n"
-                  f"size: {subset.cardinality()} "
-                  f"(fraction {subset.cardinality() / args.n:.6f})\n"
-                  f"product_triple_free: {triple_free}\n")
-        return subset_to_text(subset), report
+
+        def report(subset):
+            triple_free = not contains_product_triple(subset)
+            return (f"construction: blocker n={n} alpha={args.alpha}\n"
+                    f"size: {subset.cardinality()} "
+                    f"(fraction {subset.cardinality() / n:.6f})\n"
+                    f"product_triple_free: {triple_free}\n")
+        return lambda: perturbed_blocker_set(n, args.alpha), report, subset_to_text
     raise _UsageError(f"unknown construction {name!r}")
 
 
 def _cmd_construct(args) -> int:
+    build, report, to_text = _construction(args)
     t0 = time.perf_counter()
-    payload, report = _build_construction(args)
-    wall = time.perf_counter() - t0
-    print(report, end="", file=sys.stderr)
-    _emit(args, payload, None, wall)
+    obj = build()
+    t1 = time.perf_counter()
+    text = report(obj)
+    t2 = time.perf_counter()
+    payload = to_text(obj)
+    t3 = time.perf_counter()
+    timings = {"build_s": round(t1 - t0, 6), "verify_s": round(t2 - t1, 6),
+               "serialise_s": round(t3 - t2, 6)}
+    print(text, end="", file=sys.stderr)
+    _emit(args, payload, None, t3 - t0, timings)
     return EXIT_OK
 
 

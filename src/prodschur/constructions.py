@@ -9,7 +9,6 @@ checks downstream this only rescales constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -136,17 +135,25 @@ def log_partition_boundaries(n: int, parts: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=None)
+# Colour sequences of witness colourings of [1, S'(k)-1] free of a+b=c and
+# a+b=c-1: the witnesses the exact solver returns, cross-checked against
+# it in the test suite and re-checked on every use.
+_DOUBLE_SUM_WITNESSES = {
+    1: "1",
+    2: "1221",
+    3: "1221331331221",
+    4: "1221331331221441441221441441221331331221",
+}
+
+
 def _double_sum_base(k: int) -> Colouring:
     """Witness colouring of [S'(k)-1] free of a+b=c and a+b=c-1."""
-    from .solver import schur_number  # deferred: solver imports core only
-
-    if k not in KNOWN_DOUBLE_SUM_SCHUR:
+    if k not in _DOUBLE_SUM_WITNESSES:
         raise ValueError(f"no built-in double-sum Schur number for k={k}; "
                          f"pass an explicit base colouring")
-    outcome = schur_number(k, TripleSystem.DOUBLE_SUM)
-    assert outcome.conclusive and outcome.witness is not None
-    return outcome.witness
+    digits = _DOUBLE_SUM_WITNESSES[k]
+    colours = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
+    return Colouring(IntegerSubset.full(1, len(digits)), k, colours)
 
 
 def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> Colouring:
@@ -156,7 +163,7 @@ def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> 
     ceil(s * log_n(a)) - 1.  A product ab = c adds log-indices up to the
     double-sum slack, so freeness of the base colouring transfers.  The
     base must be a k-colouring of [s-1] free of a+b=c and a+b=c-1; if
-    omitted it is taken from the exact solver (k <= 4).
+    omitted the built-in witness is used (k <= 4).
     """
     if base is None:
         base = _double_sum_base(k)

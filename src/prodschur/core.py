@@ -81,11 +81,13 @@ class IntegerSubset:
 
     @classmethod
     def from_members(cls, interval: Interval, members: Iterable[int]) -> "IntegerSubset":
+        m = np.fromiter(members, dtype=np.int64)
+        outside = (m < interval.lo) | (m > interval.hi)
+        if outside.any():
+            raise ValueError(f"member {m[outside][0]} outside interval "
+                             f"[{interval.lo}, {interval.hi}]")
         ind = np.zeros(len(interval), dtype=bool)
-        for m in members:
-            if m not in interval:
-                raise ValueError(f"member {m} outside interval [{interval.lo}, {interval.hi}]")
-            ind[m - interval.lo] = True
+        ind[m - interval.lo] = True
         return cls(interval, ind)
 
     @classmethod
@@ -144,14 +146,15 @@ class Colouring:
         """`colours` is aligned with the ground interval; 0 marks non-members."""
         if k < 1 or k > 127:
             raise ValueError(f"colour count k={k} out of supported range 1..127")
-        col = np.array(colours, dtype=np.int8)
-        if len(col) != len(ground.interval):
+        raw = np.asarray(colours)
+        if len(raw) != len(ground.interval):
             raise ValueError("colour array length does not match ground interval")
-        mem = ground.dense()[ground.interval.lo:]
-        if np.any((col > 0) != mem):
-            raise ValueError("colour array support differs from ground membership")
-        if np.any(col > k) or np.any(col < 0):
+        # range-check before the int8 cast, which would wrap 257 to 1
+        if raw.size and (raw.min() < 0 or raw.max() > k):
             raise ValueError("colour indices must lie in 1..k")
+        col = raw.astype(np.int8)
+        if not np.array_equal(col > 0, ground._ind):
+            raise ValueError("colour array support differs from ground membership")
         col.flags.writeable = False
         self.ground = ground
         self.k = k
@@ -159,10 +162,19 @@ class Colouring:
 
     @classmethod
     def from_map(cls, ground: IntegerSubset, k: int, colour_of: dict[int, int]) -> "Colouring":
+        """Every ground member must be a key; keys outside the ground are ignored."""
         iv = ground.interval
-        col = np.zeros(len(iv), dtype=np.int8)
-        for m in ground.members():
-            col[m - iv.lo] = colour_of[int(m)]
+        keys = np.fromiter(colour_of.keys(), dtype=np.int64, count=len(colour_of))
+        vals = np.fromiter(colour_of.values(), dtype=np.int64, count=len(colour_of))
+        inside = (keys >= iv.lo) & (keys <= iv.hi)
+        keys, vals = keys[inside] - iv.lo, vals[inside]
+        missing = ground._ind.copy()
+        missing[keys] = False
+        if missing.any():
+            raise KeyError(int(np.flatnonzero(missing)[0]) + iv.lo)
+        col = np.zeros(len(iv), dtype=np.int64)
+        col[keys] = vals
+        col[~ground._ind] = 0
         return cls(ground, k, col)
 
     @classmethod
@@ -171,8 +183,7 @@ class Colouring:
         iv = ground.interval
         col = np.zeros(len(iv), dtype=np.int8)
         for i, members in enumerate(classes):
-            for m in members:
-                col[m - iv.lo] = i + 1
+            col[np.fromiter(members, dtype=np.int64) - iv.lo] = i + 1
         return cls(ground, len(classes), col)
 
     def colour_of(self, m: int) -> int:

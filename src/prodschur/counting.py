@@ -86,12 +86,48 @@ def factorisation_pairs(c: int, n: int) -> set[tuple[int, int]]:
 # monochromatic triples under a colouring
 # ---------------------------------------------------------------------------
 
+def _sum_count_fft(col: np.ndarray, lo: int, hi: int, double: bool) -> int:
+    """Monochromatic a+b=c (and, if `double`, a+b=c-1) triples, a <= b.
+
+    Per colour class F, the self-convolution g of F restricted to
+    [lo, hi-lo] counts ordered pairs (a, b) by a + b = t + 2lo, so the
+    ordered triples are sum_c F[c] g[c - 2lo] (c - 2lo - 1 for the shifted
+    equation).  The a <= b count is (ordered + diagonal) / 2.  O(n log n)
+    per colour; the float convolution is rounded only after checking
+    that it lies within 1/4 of an integer everywhere.
+    """
+    m = hi - 2 * lo + 1  # number of sums a + b in [2lo, hi]
+    if m < 1:
+        return 0
+    size = 1 << (2 * m - 1).bit_length()  # no wrap-around below index m
+    doubled = 0  # ordered + diagonal, over all classes and equations
+    for colour in np.flatnonzero(np.bincount(col[lo:hi + 1])[1:]) + 1:
+        F = col == colour
+        g = np.fft.irfft(np.fft.rfft(F[lo:hi - lo + 1], size) ** 2, size)[:m]
+        rounded = np.rint(g)
+        err = np.abs(g - rounded).max()
+        if err >= 0.25:
+            raise RuntimeError(f"sum convolution off an integer by {err:.3g}; "
+                               f"count not exact")
+        pairs = rounded.astype(np.int64)
+        doubled += int(pairs[F[2 * lo:hi + 1]].sum())
+        doubled += int(np.count_nonzero(F[lo:hi // 2 + 1] & F[2 * lo:hi + 1:2]))
+        if double:
+            doubled += int(pairs[:m - 1][F[2 * lo + 1:hi + 1]].sum())
+            doubled += int(np.count_nonzero(F[lo:(hi - 1) // 2 + 1]
+                                            & F[2 * lo + 1:hi + 1:2]))
+    if doubled % 2:
+        raise RuntimeError("ordered plus diagonal sum count is odd; count not exact")
+    return doubled // 2
+
+
 def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
                collect: bool) -> tuple[int, list[tuple[int, int, int]]]:
     """Count (and optionally list) monochromatic triples with a <= b.
 
     `col` is the absolute colour array (0 = not in the ground set).
-    Vectorised over b for each a.
+    Sum systems are counted by convolution and walked only to list a
+    non-zero count; products are vectorised over b for each a.
     """
     count = 0
     violations: list[tuple[int, int, int]] = []
@@ -115,36 +151,25 @@ def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
         return count, violations
 
     double = system is TripleSystem.DOUBLE_SUM
+    expected = _sum_count_fft(col, lo, hi, double)
+    if not collect or expected == 0:
+        return expected, violations
     for a in range(lo, hi + 1):
         ca = col[a]
         if ca == 0:
             continue
         pairs: list[tuple[int, int]] = []
-        b_hi = hi - a          # c = a + b <= hi
-        if b_hi >= a:
-            cb = col[a:b_hi + 1]
-            cc = col[2 * a:hi + 1]
-            mask = (cb == ca) & (cc == ca)
-            m = int(np.count_nonzero(mask))
-            if m:
-                count += m
-                if collect:
-                    pairs.extend((a + int(off), 0) for off in np.flatnonzero(mask))
-        if double:
-            b_hi2 = hi - a - 1  # c = a + b + 1 <= hi
-            if b_hi2 >= a:
-                cb = col[a:b_hi2 + 1]
-                cc = col[2 * a + 1:hi + 1]
-                mask = (cb == ca) & (cc == ca)
-                m = int(np.count_nonzero(mask))
-                if m:
-                    count += m
-                    if collect:
-                        pairs.extend((a + int(off), 1) for off in np.flatnonzero(mask))
-        if collect and pairs:
-            pairs.sort()
-            violations.extend((a, b, a + b + shift) for b, shift in pairs)
-    return count, violations
+        for shift in (0, 1) if double else (0,):
+            b_hi = hi - a - shift  # c = a + b + shift <= hi
+            if b_hi >= a:
+                mask = (col[a:b_hi + 1] == ca) & (col[2 * a + shift:hi + 1] == ca)
+                pairs.extend((a + int(off), shift) for off in np.flatnonzero(mask))
+        pairs.sort()
+        violations.extend((a, b, a + b + shift) for b, shift in pairs)
+    if len(violations) != expected:
+        raise RuntimeError(f"scan found {len(violations)} triples, "
+                           f"convolution {expected}")
+    return expected, violations
 
 
 def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:

@@ -1,6 +1,10 @@
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodschur.cli import (
     EXIT_GUARD,
@@ -12,8 +16,129 @@ from prodschur.cli import (
     main,
     subset_to_text,
 )
-from prodschur.core import IntegerSubset, Interval, TripleSystem
+from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
 from prodschur.constructions import mod5_colouring, verify_colouring_free
+
+
+def reference_text(lo, hi, k, colour_of):
+    """The text format written line by line, independent of the library."""
+    out = "# interval %d %d %d\n" % (lo, hi, k)
+    for m in sorted(colour_of):
+        out += "%d %d\n" % (m, colour_of[m])
+    return out
+
+
+def random_colouring(rnd, lo, hi, k, density):
+    colour_of = {m: rnd.randint(1, k) for m in range(lo, hi + 1)
+                 if rnd.random() < density}
+    ground = IntegerSubset.from_members(Interval(lo, hi), colour_of)
+    col = np.zeros(hi - lo + 1, dtype=np.int64)
+    for m, c in colour_of.items():
+        col[m - lo] = c
+    return colour_of, Colouring(ground, k, col)
+
+
+class TestTextBytes:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writer_matches_reference(self, seed):
+        rnd = random.Random(seed)
+        for _ in range(20):
+            lo = rnd.choice([1, 2, 7, 95, 999, 10 ** rnd.randint(1, 6)])
+            hi = lo + rnd.choice([0, 1, 30, 2000])
+            k = rnd.choice([1, 2, 9, 10, 11, 99, 100, 127])
+            density = rnd.choice([0.0, 0.01, 0.3, 1.0])
+            colour_of, col = random_colouring(rnd, lo, hi, k, density)
+            want = reference_text(lo, hi, k, colour_of)
+            assert colouring_to_text(col) == want
+            assert colouring_from_text(want) == col
+            ground = col.ground
+            assert subset_to_text(ground) == reference_text(
+                lo, hi, 1, dict.fromkeys(colour_of, 1))
+
+    def test_powers_of_ten(self):
+        members = [10 ** e + d for e in range(7) for d in (-1, 0, 1) if 10 ** e + d >= 1]
+        colour_of = {m: 1 + i % 127 for i, m in enumerate(sorted(set(members)))}
+        ground = IntegerSubset.from_members(Interval(1, 10 ** 6 + 1), colour_of)
+        col = Colouring.from_map(ground, 127, colour_of)
+        text = colouring_to_text(col)
+        assert text == reference_text(1, 10 ** 6 + 1, 127, colour_of)
+        assert "\n1000000 " in text and "\n999999 " in text
+
+    def test_empty_ground(self):
+        col = Colouring(IntegerSubset.from_members(Interval(4, 9), []), 3,
+                        np.zeros(6, dtype=np.int8))
+        assert colouring_to_text(col) == "# interval 4 9 3\n"
+        assert colouring_from_text("# interval 4 9 3\n") == col
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10 ** 9), st.integers(0, 300), st.integers(1, 127),
+           st.data())
+    def test_round_trip_property(self, lo, span, k, data):
+        hi = lo + span
+        elems = data.draw(st.sets(st.integers(lo, hi)))
+        colour_of = {m: data.draw(st.integers(1, k)) for m in sorted(elems)}
+        text = reference_text(lo, hi, k, colour_of)
+        assert colouring_to_text(colouring_from_text(text)) == text
+
+
+class TestStrictParser:
+    """Every malformed input is a ValueError that names the problem."""
+
+    def test_duplicate_element(self):
+        with pytest.raises(ValueError, match="duplicate element 2"):
+            colouring_from_text("# interval 1 5 2\n2 2\n2 1\n")
+
+    @pytest.mark.parametrize("elem", ["0", "6", "3000000000"])
+    def test_element_outside_interval(self, elem):
+        with pytest.raises(ValueError, match=f"element {elem} outside \\[1, 5\\]"):
+            colouring_from_text(f"# interval 1 5 2\n1 1\n{elem} 1\n")
+
+    @pytest.mark.parametrize("colour", ["0", "3", "257"])
+    def test_colour_outside_range(self, colour):
+        with pytest.raises(ValueError, match=f"colour {colour} outside 1..2"):
+            colouring_from_text(f"# interval 1 5 2\n1 1\n2 {colour}\n")
+
+    @pytest.mark.parametrize("line", ["2 x", "2 1.0", "-2 1", "2 1e3", "2\x001"])
+    def test_non_integer_token(self, line):
+        with pytest.raises(ValueError, match="line 3: expected 'element colour'"):
+            colouring_from_text(f"# interval 1 5 2\n1 1\n{line}\n4 1\n")
+
+    @pytest.mark.parametrize("body", ["1 1\n2\n", "1 1\n2\n3 1\n", "1 1 2 2\n",
+                                      "1\n1\n"])
+    def test_odd_token_count_or_split_pair(self, body):
+        with pytest.raises(ValueError, match="line [23]: expected one"):
+            colouring_from_text("# interval 1 5 2\n" + body)
+
+    @pytest.mark.parametrize("tail", ["2 1 7\n", "2 1 # note\n", "# end\n", "2 1\n}"])
+    def test_trailing_junk(self, tail):
+        with pytest.raises(ValueError, match="line [34]: expected"):
+            colouring_from_text("# interval 1 5 2\n1 1\n" + tail)
+
+    @pytest.mark.parametrize("header", ["# interval 1 5", "# interval 1 5 2 9",
+                                        "# intervals 1 5 2", "#interval 1 5 2",
+                                        "# interval 1 five 2", "# interval 1 5 2.0"])
+    def test_bad_header(self, header):
+        with pytest.raises(ValueError, match="bad header"):
+            colouring_from_text(header + "\n1 1\n")
+
+    def test_header_values_validated(self):
+        with pytest.raises(ValueError, match="invalid interval"):
+            colouring_from_text("# interval 5 1 2\n")
+        with pytest.raises(ValueError, match="k=128"):
+            colouring_from_text("# interval 1 5 128\n")
+
+    def test_overlong_integer(self):
+        with pytest.raises(ValueError, match="longer than 18 digits"):
+            colouring_from_text("# interval 1 5 2\n" + "1" * 19 + " 1\n")
+
+    def test_non_ascii(self):
+        with pytest.raises(ValueError, match="'ascii' codec"):
+            colouring_from_text("# interval 1 5 2\n\u0661 1\n")
+
+    def test_blank_lines_and_order_tolerated(self):
+        col = colouring_from_text("\n# interval 1 5 2\n\n4 2\r\n 1\t1 \n\n")
+        assert (col.colour_of(1), col.colour_of(4)) == (1, 2)
+        assert list(col.ground.members()) == [1, 4]
 
 
 class TestTextFormat:
@@ -107,6 +232,10 @@ class TestCommands:
         manifest = json.loads((tmp_path / "mod5.txt.manifest.json").read_text())
         assert manifest["version"]
         assert manifest["config_digest"]
+        timings = manifest["timings"]
+        assert set(timings) == {"build_s", "verify_s", "serialise_s"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"] + 0.002
 
     def test_construct_blocker(self, tmp_path, capsys):
         out = tmp_path / "blocker.txt"

@@ -20,6 +20,7 @@ from prodschur.constructions import (
     product_free_colouring,
     threshold_exponent_offset,
     verify_colouring_free,
+    _double_sum_base,
 )
 from prodschur.counting import count_monochromatic
 from prodschur.solver import schur_number
@@ -304,6 +305,13 @@ class TestVerifyColouringFree:
                 violations = verify_colouring_free(colouring, system)
                 assert violations == brute_mono_triples(colour_of, system)
                 assert len(violations) == count_monochromatic(colouring, system)
+
+    def test_literal_witnesses_match_solver(self):
+        for k in (1, 2, 3, 4):
+            base = _double_sum_base(k)
+            assert base == schur_number(k, DSUM).witness
+            assert base.ground.interval.hi == KNOWN_DOUBLE_SUM_SCHUR[k] - 1
+            assert verify_colouring_free(base, DSUM) == []
 
     def test_schur_tables_match_solver(self):
         for k in (1, 2, 3):

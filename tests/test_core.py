@@ -43,6 +43,16 @@ class TestIntegerSubset:
     def test_member_outside_interval(self):
         with pytest.raises(ValueError):
             IntegerSubset.from_members(Interval(2, 5), [6])
+        with pytest.raises(ValueError, match="member 1 "):
+            IntegerSubset.from_members(Interval(2, 5), [3, 1])
+
+    def test_from_members_any_iterable(self):
+        iv = Interval(3, 9)
+        want = IntegerSubset.from_members(iv, [3, 4, 9])
+        assert IntegerSubset.from_members(iv, (m for m in (9, 4, 3, 4))) == want
+        assert IntegerSubset.from_members(iv, np.array([4, 9, 3])) == want
+        assert IntegerSubset.from_members(iv, {3: 0, 4: 0, 9: 0}.keys()) == want
+        assert IntegerSubset.from_members(iv, []).cardinality() == 0
 
     def test_dense_absolute_indexing(self):
         A = IntegerSubset.from_members(Interval(3, 8), [3, 7])
@@ -87,6 +97,24 @@ class TestColouring:
         g = IntegerSubset.full(1, 2)
         with pytest.raises(ValueError):
             Colouring(g, 2, np.array([1, 3], dtype=np.int8))
+
+    def test_range_checked_before_int8_cast(self):
+        # 257 and 258 wrap to 1 and 2 in int8; they must not slip through
+        with pytest.raises(ValueError, match="1..k"):
+            Colouring(IntegerSubset.full(1, 3), 2, np.array([1, 257, 258]))
+        with pytest.raises(ValueError, match="1..k"):
+            Colouring(IntegerSubset.full(1, 2), 2, [1, -255])
+
+    def test_from_map_ignores_keys_off_the_ground(self):
+        g = IntegerSubset.from_members(Interval(2, 6), [2, 5])
+        c = Colouring.from_map(g, 2, {2: 2, 5: 1, 3: 1, 99: 2})
+        assert (c.colour_of(2), c.colour_of(5)) == (2, 1)
+        assert list(c.colour_class(1)) == [5]
+
+    def test_from_map_missing_member(self):
+        g = IntegerSubset.from_members(Interval(2, 6), [2, 5])
+        with pytest.raises(KeyError):
+            Colouring.from_map(g, 2, {2: 1})
 
 
 class TestTripleSatisfied:

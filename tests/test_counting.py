@@ -1,6 +1,7 @@
 import math
 from itertools import product as iter_product
 
+import numpy as np
 import pytest
 
 from prodschur.core import (
@@ -23,7 +24,11 @@ from prodschur.counting import (
     multiplication_table_count,
     supersaturation_count,
 )
-from prodschur.constructions import eleven_interval_colouring, mod5_colouring
+from prodschur.constructions import (
+    eleven_interval_colouring,
+    mod5_colouring,
+    verify_colouring_free,
+)
 from conftest import brute_mono_triples
 
 SUM = TripleSystem.SUM
@@ -127,6 +132,39 @@ class TestCountMonochromatic:
             for system in (SUM, DSUM, PROD):
                 assert count_monochromatic(colouring, system) == \
                     len(brute_mono_triples(colour_of, system)), (members, colour_of)
+
+    def test_sum_counts_match_bruteforce_with_gaps(self, rng):
+        # lo > 1, gaps in the ground, up to five colours
+        for _ in range(120):
+            lo = rng.randint(1, 40)
+            hi = lo + rng.randint(0, 120)
+            k = rng.randint(1, 5)
+            density = rng.choice([0.2, 0.6, 1.0])
+            colour_of = {m: rng.randint(1, k) for m in range(lo, hi + 1)
+                         if rng.random() < density}
+            ground = IntegerSubset.from_members(Interval(lo, hi), colour_of)
+            colouring = Colouring.from_map(ground, k, colour_of)
+            for system in (SUM, DSUM):
+                want = brute_mono_triples(colour_of, system)
+                assert count_monochromatic(colouring, system) == len(want), \
+                    (lo, hi, colour_of, system)
+                assert verify_colouring_free(colouring, system) == want
+
+    def test_count_agrees_with_listing_at_1e4(self, rng):
+        colour_of = {m: rng.randint(1, 3) for m in range(2, 10 ** 4 + 1)
+                     if m % 7}
+        ground = IntegerSubset.from_members(Interval(2, 10 ** 4), colour_of)
+        colouring = Colouring.from_map(ground, 3, colour_of)
+        for system in (SUM, DSUM):
+            assert count_monochromatic(colouring, system) == \
+                len(verify_colouring_free(colouring, system))
+
+    def test_inexact_convolution_raises(self, monkeypatch):
+        colouring = eleven_interval_colouring(110)
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: real(*a, **kw) + 0.3)
+        with pytest.raises(RuntimeError, match="not exact"):
+            count_monochromatic(colouring, SUM)
 
     def test_class_sums_bounded_by_census(self, rng):
         n = 500
