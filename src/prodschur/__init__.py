@@ -24,7 +24,6 @@ from .solver import (
 from .constructions import (
     KNOWN_DOUBLE_SUM_SCHUR,
     KNOWN_SCHUR,
-    PerturbationParams,
     alpha_for_rate,
     divisor_interval_rate,
     eleven_interval_colouring,

@@ -1,16 +1,17 @@
 """Explicit colourings and sets with product-free / sum-free guarantees.
 
-Each construction is paired with an independent re-checker
-(verify_colouring_free enumerates every triple of the system from
-scratch), so nothing here is trusted on the strength of its derivation
-alone.  Natural logarithms are used throughout; for the shape-level
-checks downstream this only rescales constants.
+Each construction is paired with a re-checker: verify_colouring_free
+lists every monochromatic triple from the rows of the shared scan
+kernel (core._mono_rows).  Its independence comes from the test suite,
+which arbitrates the kernel against library-free brute-force oracles,
+so nothing here is trusted on the strength of its derivation alone.
+Natural logarithms are used throughout; for the shape-level checks
+downstream this only rescales constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -73,36 +74,6 @@ def alpha_for_rate(target: float, tol: float = 1e-15) -> float:
         if hi - lo < tol:
             break
     return (lo + hi) / 2.0
-
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    """Derived constants for one removable-density value alpha.
-
-    `small_factor_bound` / `large_factor_bound` are the factor cutoffs
-    n^(1/2 -+ offset); they are populated once n is supplied.
-    """
-
-    alpha: float
-    rate: float
-    exponent_offset: float
-    small_factor_bound: Optional[float] = None
-    large_factor_bound: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.exponent_offset < 0.5:
-            raise ValueError("exponent offset must lie in (0, 1/2)")
-
-    @classmethod
-    def from_alpha(cls, alpha: float, n: Optional[int] = None) -> "PerturbationParams":
-        rate = divisor_interval_rate(alpha)
-        offset = rate / (1.0 + 2.0 * rate)
-        y = z = None
-        if n is not None:
-            y = n ** (0.5 - offset)
-            z = n ** (0.5 + offset)
-        return cls(alpha=alpha, rate=rate, exponent_offset=offset,
-                   small_factor_bound=y, large_factor_bound=z)
 
 
 def integer_nth_root(x: int, k: int) -> int:
@@ -285,7 +256,8 @@ def verify_colouring_free(colouring: Colouring, system: TripleSystem
                           ) -> list[tuple[int, int, int]]:
     """Every monochromatic triple (a <= b) of the system in the ground set.
 
-    Independent full enumeration; an empty list certifies the colouring.
+    Listed by (a, b, c) from the shared row kernel; an empty list
+    certifies the colouring.
     """
     iv = colouring.ground.interval
     col = colouring.dense()

@@ -9,6 +9,7 @@ than as sorted element lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -268,27 +269,46 @@ def triple_satisfied(a: int, b: int, c: int, system: TripleSystem) -> bool:
     return a * b == c
 
 
+def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem):
+    """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi.
+
+    `col` is an absolute colour array (index = integer value, 0 = absent).
+    Walks a over the members in increasing order and yields
+    (a, shift, mask), where mask[j] says that a, b = a + j and c share
+    a's colour: c = ab for products, b in [a, hi // a]; c = a + b + shift
+    for the sum systems, with shift 0, or 0 then 1 for the double sum.
+    Rows with no admissible b are skipped.
+    """
+    if system is TripleSystem.PRODUCT:
+        for a in np.flatnonzero(col[:math.isqrt(hi) + 1]):
+            a = int(a)
+            ca, b_hi = col[a], hi // a
+            yield a, 0, (col[a:b_hi + 1] == ca) & (col[a * a:a * b_hi + 1:a] == ca)
+        return
+    shifts = (0, 1) if system is TripleSystem.DOUBLE_SUM else (0,)
+    for a in np.flatnonzero(col[:hi // 2 + 1]):
+        a = int(a)
+        ca = col[a]
+        for shift in shifts:
+            b_hi = hi - a - shift
+            if b_hi >= a:
+                yield a, shift, (col[a:b_hi + 1] == ca) & (col[2 * a + shift:hi + 1] == ca)
+
+
 def has_mono_triple(colouring: Colouring, system: TripleSystem):
     """First monochromatic triple of the system inside the ground set.
 
     Returns (a, b, c, colour) with a <= b, lexicographically least by
     (a, b) (and by c for the double-sum pair), or None.
     """
-    members = [int(m) for m in colouring.ground.members()]
     col = colouring.dense()
-    hi = colouring.ground.interval.hi
-    product = system is TripleSystem.PRODUCT
-    double = system is TripleSystem.DOUBLE_SUM
-    for i, a in enumerate(members):
-        ca = col[a]
-        for b in members[i:]:
-            c = a * b if product else a + b
-            if c > hi:
-                break  # c grows with b, so no later b can work either
-            if col[b] != ca:
-                continue
-            if col[c] == ca:
-                return (a, b, c, int(ca))
-            if double and c + 1 <= hi and col[c + 1] == ca:
-                return (a, b, c + 1, int(ca))
-    return None
+    best = None
+    for a, shift, mask in _mono_rows(col, colouring.ground.interval.hi, system):
+        if best is not None and a != best[0]:
+            break  # the first row with a hit holds the least (a, b)
+        j = int(mask.argmax())
+        if mask[j] and (best is None or a + j < best[1]):  # ties keep shift 0
+            b = a + j
+            c = a * b if system is TripleSystem.PRODUCT else a + b + shift
+            best = (a, b, c, int(col[a]))
+    return best

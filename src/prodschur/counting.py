@@ -16,7 +16,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Colouring, IntegerSubset, ResourceGuardError, TripleSystem
+from .core import (Colouring, IntegerSubset, ResourceGuardError, TripleSystem,
+                   _mono_rows)
 
 
 @dataclass(frozen=True)
@@ -126,50 +127,31 @@ def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
     """Count (and optionally list) monochromatic triples with a <= b.
 
     `col` is the absolute colour array (0 = not in the ground set).
-    Sum systems are counted by convolution and walked only to list a
-    non-zero count; products are vectorised over b for each a.
+    Sum systems are counted by convolution and read from the rows of
+    `_mono_rows` only to list a non-zero count; products are counted
+    and listed from the rows.  Listings are ordered by (a, b, c).
     """
-    count = 0
-    violations: list[tuple[int, int, int]] = []
-    if system is TripleSystem.PRODUCT:
-        a_top = math.isqrt(hi)
-        for a in range(max(lo, 1), a_top + 1):
-            ca = col[a]
-            if ca == 0:
-                continue
-            b_hi = hi // a
-            cb = col[a:b_hi + 1]
-            cc = col[a * a:a * b_hi + 1:a]
-            mask = (cb == ca) & (cc == ca)
-            m = int(np.count_nonzero(mask))
-            if m:
-                count += m
-                if collect:
-                    for off in np.flatnonzero(mask):
-                        b = a + int(off)
-                        violations.append((a, b, a * b))
-        return count, violations
-
-    double = system is TripleSystem.DOUBLE_SUM
-    expected = _sum_count_fft(col, lo, hi, double)
-    if not collect or expected == 0:
-        return expected, violations
-    for a in range(lo, hi + 1):
-        ca = col[a]
-        if ca == 0:
-            continue
-        pairs: list[tuple[int, int]] = []
-        for shift in (0, 1) if double else (0,):
-            b_hi = hi - a - shift  # c = a + b + shift <= hi
-            if b_hi >= a:
-                mask = (col[a:b_hi + 1] == ca) & (col[2 * a + shift:hi + 1] == ca)
-                pairs.extend((a + int(off), shift) for off in np.flatnonzero(mask))
-        pairs.sort()
-        violations.extend((a, b, a + b + shift) for b, shift in pairs)
-    if len(violations) != expected:
+    product = system is TripleSystem.PRODUCT
+    if not product:
+        expected = _sum_count_fft(col, lo, hi, system is TripleSystem.DOUBLE_SUM)
+        if not collect or expected == 0:
+            return expected, []
+    elif not collect:
+        return sum(int(np.count_nonzero(mask))
+                   for _, _, mask in _mono_rows(col, hi, system)), []
+    parts = [np.empty((3, 0), dtype=np.int64)]
+    for a, shift, mask in _mono_rows(col, hi, system):
+        b = np.flatnonzero(mask) + a
+        if len(b):
+            parts.append(np.stack([np.full_like(b, a), b,
+                                   a * b if product else a + b + shift]))
+    triples = np.concatenate(parts, axis=1)
+    triples = triples[:, np.lexsort(triples[::-1])]  # double sum: c before c + 1
+    violations = list(map(tuple, triples.T.tolist()))
+    if not product and len(violations) != expected:
         raise RuntimeError(f"scan found {len(violations)} triples, "
                            f"convolution {expected}")
-    return expected, violations
+    return len(violations), violations
 
 
 def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
@@ -194,7 +176,9 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
         raise ValueError(f"n must be >= {lo} for {system.value}")
     members = list(range(lo, n + 1))
     m = len(members)
-    triples = _system_triples(members, system)
+    ones = np.zeros(n + 1, dtype=np.int8)
+    ones[lo:] = 1  # one colour class: every triple of the system in [lo, n]
+    _, triples = _mono_scan(ones, lo, n, system, collect=True)
 
     if k == 2 and m <= 24:
         return _min_mono_two_colour(members, triples)
@@ -217,25 +201,6 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     witness = Colouring.from_map(ground, k,
                                  {e: c + 1 for e, c in zip(members, best_assign)})
     return best_count, witness
-
-
-def _system_triples(members: list[int], system: TripleSystem
-                    ) -> list[tuple[int, int, int]]:
-    """All triples (a, b, c), a <= b, of the system within the member set."""
-    mem = set(members)
-    out = []
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if system is TripleSystem.PRODUCT:
-                cands = (a * b,)
-            elif system is TripleSystem.SUM:
-                cands = (a + b,)
-            else:
-                cands = (a + b, a + b + 1)
-            for c in cands:
-                if c in mem:
-                    out.append((a, b, c))
-    return out
 
 
 def _min_mono_two_colour(members: list[int], triples: list[tuple[int, int, int]]

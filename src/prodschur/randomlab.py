@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constructions import perturbed_blocker_set, threshold_exponent_offset
-from .core import ExperimentRecord, IntegerSubset, Interval
+from .core import ExperimentRecord, IntegerSubset, Interval, TripleSystem, _mono_rows
 
 _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A7C15  # second Philox key word, fixed
@@ -79,8 +80,10 @@ class SweepPlan:
             raise ValueError("n must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.multipliers or any(c <= 0 for c in self.multipliers):
-            raise ValueError("multipliers must be positive")
+        if not self.multipliers or not all(math.isfinite(c) and c > 0
+                                           for c in self.multipliers):
+            raise ValueError(f"multipliers must be positive and finite, "
+                             f"got {self.multipliers}")
         if self.rule is ProbabilityRule.PERTURBED and self.alpha is None:
             raise ValueError("the perturbed rule needs alpha")
 
@@ -112,25 +115,11 @@ def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
 def contains_product_triple(A: IntegerSubset) -> bool:
     """True iff some a, b in A (possibly equal) have ab in A.
 
-    Scans a over A's members up to sqrt(n) and tests the whole row
-    b in [a, n/a] against the dense indicator, n = carrier upper end.
+    Reads the product rows b in [a, n/a] of the dense indicator, n = the
+    carrier's upper end, and stops at the first row with a hit.
     """
-    n = A.interval.hi
-    dense = A.dense()
-    if A.interval.lo <= 1 and dense[1]:
-        return True  # 1*1 = 1, and 1*b = b for any other member
-    r = math.isqrt(n)
-    small = np.flatnonzero(dense[:r + 1])
-    for a in small:
-        a = int(a)
-        if a < 2:
-            continue
-        b_hi = n // a
-        row = dense[a:b_hi + 1]
-        prods = dense[a * a:a * b_hi + 1:a]
-        if np.any(row & prods):
-            return True
-    return False
+    rows = _mono_rows(A.dense().view(np.int8), A.interval.hi, TripleSystem.PRODUCT)
+    return any(mask.any() for _, _, mask in rows)
 
 
 def two_copy_split(p: float) -> tuple[float, float]:
@@ -163,25 +152,35 @@ def product_set_count(A: IntegerSubset, n: int) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _threshold_chunk(args: tuple[int, float, Sequence[int]]) -> int:
-    n, p, seeds = args
-    return sum(contains_product_triple(sample_random_subset(n, p, s)) for s in seeds)
-
-
-def _perturbed_chunk(args: tuple[np.ndarray, int, float, Sequence[int]]) -> int:
+def _chunk(args: tuple[Optional[np.ndarray], int, float, Sequence[int]]) -> int:
+    """Successes among the trials keyed by `seeds`; no blocker if None."""
     blocker_dense, n, p, seeds = args
+    if blocker_dense is None:
+        return sum(contains_product_triple(sample_random_subset(n, p, s)) for s in seeds)
     blocker = IntegerSubset.from_dense(Interval(2, n), blocker_dense)
     return sum(perturbed_trial(blocker, n, p, s) for s in seeds)
 
 
-def _run_trials(chunk_fn, static_args: tuple, trial_seeds: list[int],
-                workers: int) -> int:
-    if workers <= 1 or len(trial_seeds) < 2 * workers:
-        return chunk_fn(static_args + (trial_seeds,))
-    chunks = [trial_seeds[i::workers] for i in range(workers)]
-    jobs = [static_args + (chunk,) for chunk in chunks if chunk]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(chunk_fn, jobs))
+def _sweep(plan: SweepPlan, workers: Optional[int],
+           blocker: Optional[IntegerSubset], extra: dict) -> list[ExperimentRecord]:
+    """One record per multiplier; trial t of multiplier ci uses
+    derive_seed(master, ci, t), split round-robin over one worker pool."""
+    workers = _resolve_workers(workers)
+    serial = workers <= 1 or plan.trials < 2 * workers
+    step = 1 if serial else workers
+    blocker_dense = None if blocker is None else blocker.dense()
+    records = []
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+        run = map if serial else pool.map
+        for ci, c in enumerate(plan.multipliers):
+            p, clamped = plan.probability(c)
+            seeds = [derive_seed(plan.master_seed, ci, t) for t in range(plan.trials)]
+            jobs = [(blocker_dense, plan.n, p, seeds[i::step]) for i in range(step)]
+            records.append(ExperimentRecord(
+                n=plan.n, p=p, seed=plan.master_seed, trials=plan.trials,
+                successes=sum(run(_chunk, jobs)),
+                extra={"c": c, "clamped": clamped, **extra}))
+    return records
 
 
 def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
@@ -194,17 +193,7 @@ def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
     """
     if plan.rule is not ProbabilityRule.RANDOM_THRESHOLD:
         raise ValueError("threshold_sweep needs a RANDOM_THRESHOLD plan")
-    workers = _resolve_workers(workers)
-    records = []
-    for ci, c in enumerate(plan.multipliers):
-        p, clamped = plan.probability(c)
-        seeds = [derive_seed(plan.master_seed, ci, t) for t in range(plan.trials)]
-        successes = _run_trials(_threshold_chunk, (plan.n, p), seeds, workers)
-        records.append(ExperimentRecord(
-            n=plan.n, p=p, seed=plan.master_seed, trials=plan.trials,
-            successes=successes,
-            extra={"c": c, "clamped": clamped}))
-    return records
+    return _sweep(plan, workers, None, {})
 
 
 def perturbed_trial(C: IntegerSubset, n: int, p: float, seed: int) -> bool:
@@ -225,22 +214,11 @@ def perturbed_sweep(n: int, alpha: float, multipliers: Sequence[float],
     plan = SweepPlan(n=n, multipliers=tuple(multipliers), trials=trials,
                      master_seed=master_seed, rule=ProbabilityRule.PERTURBED,
                      alpha=alpha)
-    workers = _resolve_workers(workers)
     blocker = perturbed_blocker_set(n, alpha)
-    blocker_dense = blocker.dense()
-    offset = threshold_exponent_offset(alpha)
     size = blocker.cardinality()
-    records = []
-    for ci, c in enumerate(plan.multipliers):
-        p, clamped = plan.probability(c)
-        seeds = [derive_seed(master_seed, ci, t) for t in range(trials)]
-        successes = _run_trials(_perturbed_chunk, (blocker_dense, n, p), seeds, workers)
-        records.append(ExperimentRecord(
-            n=n, p=p, seed=master_seed, trials=trials, successes=successes,
-            extra={"c": c, "clamped": clamped, "alpha": alpha,
-                   "beta_alpha": offset, "blocker_size": size,
-                   "blocker_fraction": size / n}))
-    return records
+    return _sweep(plan, workers, blocker,
+                  {"alpha": alpha, "beta_alpha": threshold_exponent_offset(alpha),
+                   "blocker_size": size, "blocker_fraction": size / n})
 
 
 def degree_structure(Cprime: IntegerSubset, n: int, beta: float

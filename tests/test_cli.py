@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodschur import randomlab
 from prodschur.cli import (
     EXIT_GUARD,
     EXIT_INCONCLUSIVE,
@@ -184,6 +185,21 @@ class TestExitCodes:
 
     def test_value_error_is_usage(self, capsys):
         assert main(["gstar", "--k", "2", "--n", "100", "--eps", "2.0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["threshold", "perturbed"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_multiplier_runs_no_trial(self, command, bad,
+                                                 monkeypatch, capsys):
+        drawn = []
+        monkeypatch.setenv("PRODSCHUR_WORKERS", "1")
+        monkeypatch.setattr(randomlab, "sample_random_subset",
+                            lambda *args: drawn.append(args))
+        code = main([command, "--n", "100", "--c", f"1,{bad}", "--trials", "3",
+                     "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert drawn == []
+        out, err = capsys.readouterr()
+        assert out == "" and "positive and finite" in err
 
 
 class TestCommands:

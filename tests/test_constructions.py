@@ -7,7 +7,6 @@ from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
 from prodschur.constructions import (
     KNOWN_DOUBLE_SUM_SCHUR,
     KNOWN_SCHUR,
-    PerturbationParams,
     alpha_for_rate,
     divisor_interval_rate,
     eleven_interval_colouring,
@@ -64,18 +63,12 @@ class TestScalarConstants:
         xs = np.linspace(0.01, a_star, 50)
         vals = [threshold_exponent_offset(float(x)) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert all(v <= 1 / 6 + 1e-12 for v in vals)
+        assert 0 < vals[0] and all(v <= 1 / 6 + 1e-12 for v in vals)
 
     def test_alpha_for_rate_roundtrip(self):
         for target in (0.01, 0.1, 0.25, 1.0):
             alpha = alpha_for_rate(target)
             assert divisor_interval_rate(alpha) == pytest.approx(target, rel=1e-9)
-
-    def test_params_factor_bounds_multiply_to_n(self):
-        params = PerturbationParams.from_alpha(0.4, n=10 ** 6)
-        assert params.small_factor_bound * params.large_factor_bound == \
-            pytest.approx(10 ** 6, rel=1e-9)
-        assert 0 < params.exponent_offset < 0.5
 
 
 class TestIntegerNthRoot:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prodschur.constructions import verify_colouring_free
 from prodschur.core import (
     Colouring,
     ExperimentRecord,
@@ -10,7 +13,13 @@ from prodschur.core import (
     has_mono_triple,
     triple_satisfied,
 )
-from conftest import brute_first_mono
+from prodschur.counting import count_monochromatic
+from prodschur.randomlab import contains_product_triple
+from conftest import (
+    brute_contains_product,
+    brute_first_mono,
+    brute_mono_triples,
+)
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -188,6 +197,47 @@ class TestHasMonoTriple:
         c = Colouring.from_map(g, 2, {1: 1, 5: 2})
         # (1,1,1) is monochromatic no matter the colours
         assert has_mono_triple(c, PROD) == (1, 1, 1, 1)
+
+
+@st.composite
+def sparse_colourings(draw):
+    """(Colouring, colour_of) with lo >= 1, k <= 4 and a possibly gappy ground."""
+    k = draw(st.integers(1, 4))
+    lo = draw(st.integers(1, 12))
+    hi = draw(st.integers(lo, lo + 80))
+    members = sorted(draw(st.sets(st.integers(lo, hi))))
+    colour_of = {m: draw(st.integers(1, k)) for m in members}
+    ground = IntegerSubset.from_members(Interval(lo, hi), members)
+    return Colouring.from_map(ground, k, colour_of), colour_of
+
+
+class TestMonoRowsAgainstOracles:
+    """Every reader of the shared row kernel against the conftest oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_colourings(), st.sampled_from(list(TripleSystem)))
+    def test_first_hit_count_list_and_detect(self, drawn, system):
+        colouring, colour_of = drawn
+        assert has_mono_triple(colouring, system) == brute_first_mono(colour_of, system)
+        triples = brute_mono_triples(colour_of, system)
+        assert verify_colouring_free(colouring, system) == triples
+        assert count_monochromatic(colouring, system) == len(triples)
+        assert contains_product_triple(colouring.ground) == \
+            brute_contains_product(list(colour_of))
+
+    def test_double_sum_order_within_a_row(self):
+        # (3,3) sums to 6 and 7, both coloured 2; (3,5) hits 8 and 9
+        colour_of = {3: 1, 5: 1, 6: 2, 7: 2, 8: 1, 9: 1}
+        ground = IntegerSubset.from_members(Interval(3, 9), colour_of)
+        colouring = Colouring.from_map(ground, 2, colour_of)
+        assert has_mono_triple(colouring, DSUM) == (3, 5, 8, 1)
+        assert verify_colouring_free(colouring, DSUM) == [(3, 5, 8), (3, 5, 9)]
+        # a smaller b through the shifted equation wins: (3,3,7) before (3,5,8)
+        colour_of = {3: 1, 5: 1, 7: 1, 8: 1}
+        ground = IntegerSubset.from_members(Interval(3, 8), colour_of)
+        colouring = Colouring.from_map(ground, 1, colour_of)
+        assert has_mono_triple(colouring, DSUM) == (3, 3, 7, 1)
+        assert verify_colouring_free(colouring, DSUM) == [(3, 3, 7), (3, 5, 8)]
 
 
 class TestExperimentRecord:

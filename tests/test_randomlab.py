@@ -176,6 +176,11 @@ class TestThresholdSweep:
             SweepPlan(n=100, multipliers=(1.0,), trials=5, master_seed=0,
                       rule=ProbabilityRule.PERTURBED)  # alpha missing
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_multipliers_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SweepPlan(n=100, multipliers=(1.0, bad), trials=5, master_seed=0)
+
 
 class TestPerturbedTrials:
     def test_triple_bearing_set_at_p_zero(self):
@@ -207,6 +212,29 @@ class TestPerturbedTrials:
         b = perturbed_sweep(n, alpha, (0.5, 2.0), trials=12, master_seed=9,
                             workers=2)
         assert a == b
+
+
+class TestSeedOutputContract:
+    """Exact success counts for fixed master seeds, for one and two workers.
+
+    Trial t of multiplier index ci draws from derive_seed(master, ci, t);
+    these counts were recorded before the two sweeps shared one code
+    path, and any change to them is a change of the random stream.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_threshold_successes(self, workers):
+        plan = SweepPlan(n=3000, multipliers=(0.5, 1.0, 2.0, 4.0), trials=40,
+                         master_seed=2024)
+        records = threshold_sweep(plan, workers=workers)
+        assert [r.successes for r in records] == [4, 14, 34, 40]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_perturbed_successes(self, workers):
+        records = perturbed_sweep(10 ** 4, alpha_for_rate(0.25),
+                                  (0.5, 1.0, 2.0, 4.0), trials=24,
+                                  master_seed=77, workers=workers)
+        assert [r.successes for r in records] == [8, 19, 24, 24]
 
 
 class TestDegreeStructure:
