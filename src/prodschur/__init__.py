@@ -65,6 +65,6 @@ from .randomlab import (
     two_copy_split,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

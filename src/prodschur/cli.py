@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import sys
 import time
 from typing import Optional
@@ -51,6 +52,8 @@ from .counting import (
 from .randomlab import (
     ProbabilityRule,
     SweepPlan,
+    _generator,
+    _resolve_workers,
     contains_product_triple,
     derive_seed,
     perturbed_sweep,
@@ -222,6 +225,9 @@ def _manifest(args: argparse.Namespace, seed: Optional[int], wall: float,
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(wall, 3),
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "workers": _resolve_workers(None)},
     }
     if timings is not None:
         manifest["timings"] = timings
@@ -390,11 +396,12 @@ def _cmd_count(args) -> int:
         else:
             print("theta preconditions not met; exact count only")
     elif what == "supersat":
+        if not 0 <= args.drop <= args.n - 1:
+            raise _UsageError(f"--drop must lie in [0, n - 1] = [0, {args.n - 1}], "
+                              f"got {args.drop}")
         A = IntegerSubset.full(2, args.n)
         if args.drop:
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([derive_seed(args.seed, args.drop), 0],
-                             dtype=np.uint64)))
+            rng = _generator(derive_seed(args.seed, args.drop), salt=0)
             keep = A.dense()
             drop = rng.choice(np.arange(2, args.n + 1), size=args.drop,
                               replace=False)

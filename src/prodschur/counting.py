@@ -169,23 +169,31 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     Ground is [1,n] for the sum systems and [2,n] for products.  The
     minimiser returned is the lexicographically least colour sequence
     (colours of the ground elements in increasing order) attaining the
-    minimum.
+    minimum.  k = 1 is answered by one count for any n; larger k is
+    refused with ResourceGuardError beyond 2^22 colourings (2^24 for
+    k = 2) before any triple is listed.
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
-    members = list(range(lo, n + 1))
-    m = len(members)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    m = n - lo + 1
     ones = np.zeros(n + 1, dtype=np.int8)
     ones[lo:] = 1  # one colour class: every triple of the system in [lo, n]
-    _, triples = _mono_scan(ones, lo, n, system, collect=True)
-
-    if k == 2 and m <= 24:
-        return _min_mono_two_colour(members, triples)
-
-    if k ** m > 2 ** 22:
+    ground = IntegerSubset.full(lo, n)
+    if k == 1:
+        count, _ = _mono_scan(ones, lo, n, system, collect=False)
+        return count, Colouring(ground, 1, ones[lo:])
+    two_colour = k == 2 and m <= 24
+    if not two_colour and k ** min(m, 23) > 2 ** 22:  # k >= 2: no big power
         raise ResourceGuardError(
             f"{k}^{m} colourings is beyond the brute-force guard (2^22)")
+    members = list(range(lo, n + 1))
+    _, triples = _mono_scan(ones, lo, n, system, collect=True)
+    if two_colour:
+        return _min_mono_two_colour(members, triples)
+
     best_count: Optional[int] = None
     best_assign: Optional[tuple[int, ...]] = None
     index = {e: i for i, e in enumerate(members)}
@@ -197,7 +205,6 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
             best_count, best_assign = cnt, assign
             if cnt == 0:
                 break  # lexicographically first zero mino is globally first
-    ground = IntegerSubset.full(lo, n)
     witness = Colouring.from_map(ground, k,
                                  {e: c + 1 for e, c in zip(members, best_assign)})
     return best_count, witness

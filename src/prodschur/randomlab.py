@@ -43,8 +43,9 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return h
 
 
-def _generator(seed: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64)
+def _generator(seed: int, salt: int = _KEY_SALT) -> np.random.Generator:
+    """The Philox stream keyed by (seed, salt); every seeded draw starts here."""
+    key = np.array([seed & _MASK64, salt & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -98,8 +99,46 @@ class SweepPlan:
         return (1.0 if clamped else raw), clamped
 
 
+def _gap_chunk(size: int, q: float) -> int:
+    """Uniforms drawn per refill: the expected success count plus 6 sigma."""
+    return int(size * q + 6.0 * math.sqrt(size * q * (1.0 - q))) + 16
+
+
+def _bernoulli_fill(out: np.ndarray, q: float, rng: np.random.Generator) -> None:
+    """Set each entry of the bool array `out` independently with probability q.
+
+    Walks from success to success by geometric gaps
+    G = floor(log1p(-U) / log1p(-q)) + 1, for which P(G >= k) = (1-q)^(k-1)
+    up to the 53-bit resolution of U, so it draws about len(out) * q
+    uniforms instead of len(out).  U is read from `rng` in order, so the
+    set does not depend on the refill size.
+    """
+    size = len(out)
+    chunk = _gap_chunk(size, q)
+    log_keep = math.log1p(-q)
+    last = -1.0  # position of the previous success
+    while True:
+        pos = rng.random(chunk)
+        np.negative(pos, out=pos)
+        np.log1p(pos, out=pos)
+        pos /= log_keep
+        np.floor(pos, out=pos)
+        pos += 1.0
+        pos[0] += last
+        np.cumsum(pos, out=pos)  # float64 holds every position below 2^53 exactly
+        inside = int(np.searchsorted(pos, size))
+        out[pos[:inside].astype(np.intp)] = True
+        if inside < chunk:
+            return
+        last = pos[-1]
+
+
 def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
-    """Each element of [2, n] independently with probability p; Philox-keyed."""
+    """Each element of [2, n] independently with probability p; Philox-keyed.
+
+    Draws the members by geometric gaps, or the non-members when p > 1/2,
+    so a trial costs O(n min(p, 1-p)) uniforms; p = 0 and p = 1 draw none.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 2:
@@ -108,7 +147,10 @@ def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
     if p >= 1.0:
         dense[2:] = True
     elif p > 0.0:
-        dense[2:] = _generator(seed).random(n - 1) < p
+        body = dense[2:]
+        _bernoulli_fill(body, min(p, 1.0 - p), _generator(seed))
+        if p > 0.5:
+            np.logical_not(body, out=body)
     return IntegerSubset.from_dense(Interval(2, n), dense)
 
 

@@ -4,6 +4,7 @@ These scanners use nothing but plain loops over explicit member lists so
 they can arbitrate the vectorised / propagated implementations.
 """
 
+import math
 import random
 from itertools import product as iter_product
 
@@ -67,6 +68,31 @@ def brute_contains_product(members) -> bool:
             if a * b in mem:
                 return True
     return False
+
+
+def gap_walk_members(n: int, p: float, uniform) -> list:
+    """[2, n]_p for 0 < p < 1 by the geometric-gap rule, one uniform at a time.
+
+    Walks from 1 by gaps floor(log1p(-U) / log1p(-q)) + 1, q = min(p, 1-p),
+    reading U from `uniform()`; the walk visits the members when p <= 1/2
+    and the non-members otherwise.
+    """
+    q = min(p, 1 - p)
+    walked, x = [], 1
+    while True:
+        x += math.floor(math.log1p(-uniform()) / math.log1p(-q)) + 1
+        if x > n:
+            break
+        walked.append(x)
+    if p <= 0.5:
+        return walked
+    return sorted(set(range(2, n + 1)) - set(walked))
+
+
+def binomial_moments(size: int, q: float) -> tuple:
+    """Mean, variance and fourth central moment of Binomial(size, q)."""
+    var = size * q * (1 - q)
+    return size * q, var, var * (1 + 3 * (size - 2) * q * (1 - q))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import platform
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodschur import randomlab
+from prodschur import __version__, randomlab
 from prodschur.cli import (
     EXIT_GUARD,
     EXIT_INCONCLUSIVE,
@@ -228,6 +229,26 @@ class TestCommands:
         assert main(["count", "--what", "supersat", "--n", "100"]) == EXIT_OK
         assert "count: 81" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("drop", ["-1", "100"])
+    def test_count_supersat_drop_out_of_range(self, drop, capsys, monkeypatch):
+        monkeypatch.setattr(IntegerSubset, "full", classmethod(
+            lambda cls, lo, hi: pytest.fail("set built before --drop was checked")))
+        assert main(["count", "--what", "supersat", "--n", "100",
+                     "--drop", drop]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--drop" in captured.err
+
+    @pytest.mark.parametrize("seed,drop,count,size", [
+        (5, 49, 791, 950), (0, 1, 900, 998), (123, 500, 152, 499),
+        (2 ** 40, 999, 0, 0), (7, 3, 894, 996)])
+    def test_count_supersat_stream_unchanged(self, seed, drop, count, size, capsys):
+        """n = 1000 outputs recorded from the 0.1.0 release."""
+        assert main(["count", "--what", "supersat", "--n", "1000",
+                     "--drop", str(drop), "--seed", str(seed)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"count: {count}\n" in out and f"size: {size}\n" in out
+
     def test_count_mono_requires_name(self, capsys):
         assert main(["count", "--what", "mono", "--n", "100"]) == EXIT_USAGE
 
@@ -248,10 +269,33 @@ class TestCommands:
         manifest = json.loads((tmp_path / "mod5.txt.manifest.json").read_text())
         assert manifest["version"]
         assert manifest["config_digest"]
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "workers"}
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["workers"], int) and env["workers"] >= 1
         timings = manifest["timings"]
         assert set(timings) == {"build_s", "verify_s", "serialise_s"}
         assert all(t >= 0 for t in timings.values())
         assert sum(timings.values()) <= manifest["wall_time_s"] + 0.002
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--n", "500", "--c", "1,4", "--trials", "3", "--seed", "2"],
+        ["perturbed", "--n", "500", "--c", "1", "--trials", "3", "--seed", "2"],
+        ["schur", "--k", "2", "--out", "{out}"],
+        ["construct", "--name", "mod5", "--n", "20", "--out", "{out}"]])
+    def test_every_manifest_names_its_environment(self, argv, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("PRODSCHUR_WORKERS", "3")
+        out = str(tmp_path / "artifact.txt")
+        assert main([a.format(out=out) for a in argv]) == EXIT_OK
+        if "--out" in argv:
+            manifest = json.loads(open(out + ".manifest.json").read())
+        else:
+            manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert manifest["version"] == __version__
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "workers": 3}
 
     def test_construct_blocker(self, tmp_path, capsys):
         out = tmp_path / "blocker.txt"

@@ -4,6 +4,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
+from prodschur import counting
 from prodschur.core import (
     Colouring,
     IntegerSubset,
@@ -216,6 +217,55 @@ class TestMinMonochromatic:
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             min_monochromatic_bruteforce(30, 3, SUM)
+
+    @staticmethod
+    def _no_listing(monkeypatch):
+        real = counting._mono_scan
+
+        def scan(col, lo, hi, system, collect):
+            if collect:
+                raise AssertionError("triples listed")
+            return real(col, lo, hi, system, collect)
+
+        monkeypatch.setattr(counting, "_mono_scan", scan)
+
+    def test_guard_fires_before_listing(self, monkeypatch):
+        self._no_listing(monkeypatch)
+        with pytest.raises(ResourceGuardError):
+            min_monochromatic_bruteforce(1000, 3, SUM)
+        with pytest.raises(ResourceGuardError):
+            min_monochromatic_bruteforce(26, 2, PROD)  # 25 members: over the 2-colour cap
+
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_one_colour_counts_without_listing(self, system, monkeypatch):
+        """k = 1 at n = 1e4 against the closed-form row sums, with no triple
+        list built (it would hold ~25 M tuples)."""
+        n = 10 ** 4
+        if system is PROD:
+            expected = sum(n // a - a + 1 for a in range(2, math.isqrt(n) + 1))
+        else:
+            rows = [n - 2 * a + 1 for a in range(1, n // 2 + 1)]
+            expected = sum(rows)
+            if system is DSUM:  # a + b + 1 <= n
+                expected += sum(r - 1 for r in rows if r > 1)
+        self._no_listing(monkeypatch)
+        count, witness = min_monochromatic_bruteforce(n, 1, system)
+        assert count == expected
+        assert witness.k == 1
+        assert witness.ground.interval == Interval(2 if system is PROD else 1, n)
+        assert witness.ground.cardinality() == len(witness.ground.interval)
+
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_one_colour_matches_oracle(self, system):
+        lo = 2 if system is PROD else 1
+        for n in range(lo, 40):
+            count, _ = min_monochromatic_bruteforce(n, 1, system)
+            assert count == len(brute_mono_triples(
+                {m: 1 for m in range(lo, n + 1)}, system)), n
+
+    def test_colour_count_positive(self):
+        with pytest.raises(ValueError):
+            min_monochromatic_bruteforce(5, 0, SUM)
 
 
 class TestDivisorCounts:

@@ -1,11 +1,16 @@
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
 from prodschur.constructions import alpha_for_rate, perturbed_blocker_set
 from prodschur.counting import count_monochromatic
+from prodschur import randomlab
 from prodschur.randomlab import (
     ProbabilityRule,
     SweepPlan,
@@ -19,7 +24,7 @@ from prodschur.randomlab import (
     threshold_sweep,
     two_copy_split,
 )
-from conftest import brute_contains_product
+from conftest import binomial_moments, brute_contains_product, gap_walk_members
 
 
 class TestDeriveSeed:
@@ -59,6 +64,111 @@ class TestSampleRandomSubset:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             sample_random_subset(100, 1.2, 0)
+
+
+SMALL_N = 41
+KEYS = 4000
+
+
+@lru_cache(maxsize=None)
+def _indicator_draws(p: float) -> np.ndarray:
+    """Row t: the indicator of sample_random_subset(41, p, derive_seed(31, t))
+    on [0, 41]."""
+    return np.array([sample_random_subset(SMALL_N, p, derive_seed(31, t)).dense()
+                     for t in range(KEYS)])
+
+
+class _CountingGenerator:
+    """Forwards random() to a real generator, counts the calls and fails
+    past `limit` of them (a refill loop that never ends)."""
+
+    def __init__(self, rng, limit):
+        self.rng, self.calls, self.limit = rng, 0, limit
+
+    def random(self, size):
+        self.calls += 1
+        assert self.calls <= self.limit, "refill loop does not end"
+        return self.rng.random(size)
+
+
+class TestSamplerDistribution:
+    """sample_random_subset against the iid Bernoulli(p) law on [2, n].
+
+    p <= 1/2 walks geometric gaps between members; p > 1/2 walks the
+    gaps between non-members and inverts.  Every band is 5 sigma over
+    KEYS derive_seed keys.
+    """
+
+    PS = (1e-3, 0.1, 0.3, 0.5, 0.7, 0.97)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_inclusion_frequency_per_position(self, p):
+        draws = _indicator_draws(p)
+        assert not draws[:, :2].any()  # members lie in [2, n]
+        freq = draws[:, 2:].mean(axis=0)
+        assert len(freq) == SMALL_N - 1
+        band = 5 * math.sqrt(p * (1 - p) / KEYS)
+        assert np.abs(freq - p).max() <= band
+
+    @pytest.mark.parametrize("p", PS)
+    def test_size_mean_and_variance(self, p):
+        sizes = _indicator_draws(p).sum(axis=1)
+        mean, var, mu4 = binomial_moments(SMALL_N - 1, p)
+        assert abs(sizes.mean() - mean) <= 5 * math.sqrt(var / KEYS)
+        assert abs(sizes.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var ** 2) / KEYS)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_members_in_range_and_seed_determines_set(self, p):
+        n = 5000
+        A = sample_random_subset(n, p, 123)
+        members = A.members()
+        assert A.interval == Interval(2, n)
+        assert len(members) == 0 or (members[0] >= 2 and members[-1] <= n)
+        assert A == sample_random_subset(n, p, 123)
+        assert A != sample_random_subset(n, p, 124)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_edges_draw_nothing(self, p, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("p in {0, 1} must not draw")
+
+        monkeypatch.setattr(randomlab, "_generator", no_draw)
+        A = sample_random_subset(1000, p, 5)
+        assert A.cardinality() == (999 if p else 0)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.8])
+    def test_refill_loop_reads_the_same_stream(self, p, monkeypatch):
+        """A refill of one uniform runs the loop once per gap and must give
+        the set that one large chunk gives."""
+        n = 2000
+        expected = [sample_random_subset(n, p, derive_seed(8, t)) for t in range(5)]
+        made = []
+        real = randomlab._generator
+
+        def counting(seed):
+            made.append(_CountingGenerator(real(seed), limit=n + 1))
+            return made[-1]
+
+        monkeypatch.setattr(randomlab, "_generator", counting)
+        monkeypatch.setattr(randomlab, "_gap_chunk", lambda size, q: 1)
+        for t, want in enumerate(expected):
+            got = sample_random_subset(n, p, derive_seed(8, t))
+            assert got == want
+            walked = got.cardinality() if p <= 0.5 else n - 1 - got.cardinality()
+            assert made[-1].calls == walked + 1 >= 2  # one gap past n ends it
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 3000), p=st.floats(1e-3, 0.999),
+           seed=st.integers(0, 2 ** 64 - 1), chunk=st.integers(1, 7))
+    def test_stream_matches_one_gap_at_a_time_reference(self, n, p, seed, chunk):
+        """Stream 0.2.0: Philox keyed (seed, 0x9E3779B97F4A7C15), uniforms
+        read in order by the gap walk, whatever the refill size."""
+        key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+        uniform = np.random.Generator(np.random.Philox(key=key)).random
+        want = gap_walk_members(n, p, uniform)
+        assert sample_random_subset(n, p, seed).members().tolist() == want
+        with mock.patch.object(randomlab, "_gap_chunk", lambda size, q: chunk):
+            assert sample_random_subset(n, p, seed).members().tolist() == want
 
 
 class TestContainsProductTriple:
@@ -218,8 +328,9 @@ class TestSeedOutputContract:
     """Exact success counts for fixed master seeds, for one and two workers.
 
     Trial t of multiplier index ci draws from derive_seed(master, ci, t);
-    these counts were recorded before the two sweeps shared one code
-    path, and any change to them is a change of the random stream.
+    these counts pin stream 0.2.0 (sets drawn by geometric gaps), and any
+    change to them is a change of the random stream.  Stream 0.1.x (one
+    uniform per element) gave [4, 14, 34, 40] and [8, 19, 24, 24].
     """
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -227,14 +338,14 @@ class TestSeedOutputContract:
         plan = SweepPlan(n=3000, multipliers=(0.5, 1.0, 2.0, 4.0), trials=40,
                          master_seed=2024)
         records = threshold_sweep(plan, workers=workers)
-        assert [r.successes for r in records] == [4, 14, 34, 40]
+        assert [r.successes for r in records] == [0, 10, 32, 40]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_perturbed_successes(self, workers):
         records = perturbed_sweep(10 ** 4, alpha_for_rate(0.25),
                                   (0.5, 1.0, 2.0, 4.0), trials=24,
                                   master_seed=77, workers=workers)
-        assert [r.successes for r in records] == [8, 19, 24, 24]
+        assert [r.successes for r in records] == [10, 19, 24, 24]
 
 
 class TestDegreeStructure:
