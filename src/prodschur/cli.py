@@ -279,6 +279,8 @@ def _cmd_schur(args) -> int:
     print(f"value: {outcome.value if outcome.conclusive else 'inconclusive'}")
     print(f"lower_bound: {outcome.lower_bound}")
     print(f"nodes_explored: {outcome.nodes_explored}")
+    print(f"prunes: {outcome.prunes}")
+    print(f"ns_per_node: {outcome.ns_per_node:.0f}")
     print(f"elapsed_s: {outcome.elapsed:.3f}")
     if outcome.witness is not None and args.out:
         _emit(args, colouring_to_text(outcome.witness), None, wall)

@@ -225,7 +225,8 @@ class SolverOutcome:
 
     `conclusive` is False when a node limit or ceiling stopped the search
     before exhaustion; `lower_bound` is then the best certified bound
-    (a good colouring of [lower_bound - 1] was found).
+    (a good colouring of [lower_bound - 1] was found).  `prunes` counts
+    the branches cut because a future member had no colour left.
     """
 
     value: Optional[int]
@@ -234,6 +235,12 @@ class SolverOutcome:
     elapsed: float
     conclusive: bool
     lower_bound: int
+    prunes: int = 0
+
+    @property
+    def ns_per_node(self) -> float:
+        """Search time per node explored, in ns; 0.0 when no node was."""
+        return self.elapsed / self.nodes_explored * 1e9 if self.nodes_explored else 0.0
 
 
 @dataclass(frozen=True, eq=True)

@@ -1,23 +1,33 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
-The engine is a depth-first backtracking search over colourings with
-constraint propagation.  Elements are coloured in increasing order; for
-each colour a bitmask of forbidden positions is maintained: assigning x
-to colour c forbids c at a+x (and a+x+1 for the double-sum system) for
-every a already in class c, including a = x.  Under the sum systems that
-propagation is a single shift-or on the class bitmask; under the product
-system the class member list is walked and positions a*x <= hi are set.
-Symmetry breaking fixes the canonical colour order (colour c+1 may first
-appear only after colour c has), which is sound because colour classes
-are interchangeable.
+Every query here runs one depth-first backtracking search, `_search`,
+over the colourings of an increasing member list.  Members are coloured
+in increasing order, and colour c keeps `forb[c]`, a bitmask of the
+positions it may no longer take: giving x colour c forbids c at a+x (and
+a+x+1 for the double-sum system) for every a already in class c,
+including a = x.  Under the sum systems that is one shift-or of the
+class bitmask; under the product system the increasing class list is
+walked, setting a*x until the first a*x > hi.  Symmetry breaking fixes
+the canonical colour order (colour c+1 may first appear only after
+colour c has), which is sound because colour classes are
+interchangeable.
+
+The search is one loop over an explicit stack of per-depth lists (the
+colour given, the colours in play before it, and that colour's forbid
+word before it), so its depth is not bounded by the interpreter's
+recursion limit.  Once all k colours are in play, a child is pruned when
+some future member is forbidden in every colour: the AND of the forbid
+words meets a window of future members cut from `suffix`, where
+`suffix[i]` holds the bits of members[i:].
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Colouring,
@@ -51,143 +61,134 @@ class SearchConfig:
     node_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_search_args(self.k, self.node_limit)
         if self.max_n is not None and self.max_n < 1:
             raise ValueError("max_n must be >= 1")
 
 
-class _Found(Exception):
-    """Internal: goal-mode search found a complete colouring."""
+class _Run(NamedTuple):
+    """What one `_search` did; colours in `found` and `best` are 0-based."""
+
+    found: Optional[list[int]]   # a complete good colouring, or None
+    complete: bool               # False when the node limit stopped the search
+    nodes: int
+    prunes: int                  # children cut by the dead-member test
+    deepest: int                 # length of the longest good prefix seen
+    best: list[int]              # the first colouring of that prefix
 
 
-class _LimitHit(Exception):
-    """Internal: node limit reached."""
+def _search(members: Sequence[int], k: int, system: TripleSystem,
+            symmetry_breaking: bool = True, node_limit: Optional[int] = None,
+            frontier_mode: bool = False) -> _Run:
+    """Backtracking over the k-colourings of the increasing `members`.
 
-
-class _Search:
-    """One backtracking run over a fixed increasing member list.
-
-    Goal mode looks for a complete colouring and prunes a branch as soon
-    as any future member is forbidden in every colour.  Frontier mode
-    (used for Schur numbers) instead tracks the deepest fully coloured
-    prefix over the exhaustive tree; dead-member pruning is then limited
-    to members within reach of improving that frontier, which leaves the
-    computed frontier exact.
+    The search stops at the first complete good colouring, at the node
+    limit, or when the tree is exhausted.  Goal mode prunes on any dead
+    future member.  Frontier mode (Schur numbers) tracks the deepest good
+    prefix over the exhaustive tree and prunes only on dead members that
+    are needed to push the prefix past it, which keeps that depth exact.
     """
-
-    def __init__(self, members: list[int], k: int, system: TripleSystem,
-                 symmetry_breaking: bool = True,
-                 node_limit: Optional[int] = None,
-                 frontier_mode: bool = False):
-        self.members = members
-        self.k = k
-        self.system = system
-        self.symmetry_breaking = symmetry_breaking
-        self.node_limit = node_limit
-        self.frontier_mode = frontier_mode
-        self.hi = members[-1] if members else 0
-        self.masks = [0] * k
-        self.forb = [0] * k
-        self.class_lists: list[list[int]] = [[] for _ in range(k)]
-        self.assign = [0] * len(members)
-        self.nodes = 0
-        self.deepest = 0                      # longest good prefix seen
-        self.best: list[int] = []             # its colour assignment
-        self.found: Optional[list[int]] = None
-        # suffix_masks[i]: bits of members[i:], for O(1) dead-member tests
-        self.suffix_masks = [0] * (len(members) + 1)
-        for i in range(len(members) - 1, -1, -1):
-            self.suffix_masks[i] = self.suffix_masks[i + 1] | (1 << members[i])
-
-    def run(self) -> None:
-        if not self.members:
-            self.found = []
-            return
-        try:
-            self._dfs(0, 0)
-        except _Found:
-            self.found = list(self.assign)
-        except _LimitHit:
-            raise SearchInconclusive(self.nodes, self.deepest)
-
-    def _product_forbids(self, c: int, x: int) -> int:
-        bits = 0
-        hi = self.hi
-        for a in self.class_lists[c]:
-            q = a * x
-            if q <= hi:
-                bits |= 1 << q
-        q = x * x
-        if q <= hi:
-            bits |= 1 << q
-        return bits
-
-    def _dfs(self, depth: int, used: int) -> None:
-        members = self.members
-        x = members[depth]
-        k = self.k
-        system = self.system
-        product = system is TripleSystem.PRODUCT
-        last = depth == len(members) - 1
-        limit = min(used + 1, k) if self.symmetry_breaking else k
-        for c in range(limit):
-            fc = self.forb[c]
-            if (fc >> x) & 1:
+    n = len(members)
+    if not n:
+        return _Run([], True, 0, 0, 0, [])
+    product = system is TripleSystem.PRODUCT
+    dsum = system is TripleSystem.DOUBLE_SUM
+    hi = members[-1]
+    mbit = [1 << x for x in members]      # mbit[d]: the bit of members[d]
+    suffix = [0] * (n + 1)                # suffix[i]: bits of members[i:]
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | mbit[i]
+    cap = math.inf if node_limit is None else node_limit
+    # 1*1 = 1 is itself a product triple, so 1 takes no colour
+    forb = [1 << 1 if product else 0] * k
+    masks = [0] * k                       # sum systems: class bitmasks
+    classes: list[list[int]] = [[] for _ in range(k)]   # product: class lists
+    colour = [0] * n                      # colour given at each depth
+    used = [0] * n                        # colours in play before each depth
+    saved = [0] * n                       # forb of that colour before it
+    nodes = prunes = deepest = 0
+    best: list[int] = []
+    found = None
+    complete = True
+    last = n - 1
+    stop = 1 if frontier_mode else n      # dead-member window: members[d+1:stop]
+    d = c = 0
+    u = used[0] = 0 if symmetry_breaking else k   # free mode: always k
+    while True:
+        x = members[d]
+        bx = mbit[d]
+        lim = u + 1 if u < k else k
+        while c < lim and forb[c] & bx:
+            c += 1
+        if c < lim:
+            if nodes >= cap:
+                complete = False
+                break
+            nodes += 1
+            f = saved[d] = forb[c]
+            if product:
+                cl = classes[c]
+                cl.append(x)
+                for a in cl:              # increasing, and ends with x itself
+                    q = a * x
+                    if q > hi:
+                        break
+                    f |= 1 << q
+            else:
+                m = masks[c] | bx
+                masks[c] = m
+                m <<= x
+                f |= m | m << 1 if dsum else m
+            forb[c] = f
+            colour[d] = c
+            if d == deepest:
+                deepest = d + 1
+                best = colour[:deepest]
+                if d == last:
+                    found = colour
+                    break
+                if frontier_mode:
+                    stop = deepest + 1
+            nu = u if c < u else c + 1
+            dead = 0
+            if nu == k:       # with fewer colours in play a fresh one is free
+                dead = suffix[d + 1] ^ suffix[stop]
+                for g in forb:
+                    dead &= g
+                    if not dead:
+                        break
+            if not dead:
+                d += 1
+                u = used[d] = nu
+                c = 0
                 continue
-            if product and x == 1:
-                continue  # (1,1,1) is itself a product triple
-            if self.node_limit is not None and self.nodes >= self.node_limit:
-                raise _LimitHit
-            self.nodes += 1
-            old_mask = self.masks[c]
-            new_mask = old_mask | (1 << x)
-            if product:
-                new_forb = fc | self._product_forbids(c, x)
-                self.class_lists[c].append(x)
-            else:
-                shifted = new_mask << x
-                new_forb = fc | shifted
-                if system is TripleSystem.DOUBLE_SUM:
-                    new_forb |= shifted << 1
-            self.masks[c] = new_mask
-            self.forb[c] = new_forb
-            self.assign[depth] = c
-            if depth + 1 > self.deepest:
-                self.deepest = depth + 1
-                self.best = list(self.assign[:depth + 1])
-            if last:
-                raise _Found
-            if self.symmetry_breaking:
-                new_used = used if c < used else used + 1
-            else:
-                new_used = k  # colour-usage count is not tracked in free mode
-            if not self._prune(depth, new_used):
-                self._dfs(depth + 1, new_used)
-            self.masks[c] = old_mask
-            self.forb[c] = fc
-            if product:
-                self.class_lists[c].pop()
-
-    def _prune(self, depth: int, used: int) -> bool:
-        """True if a relevant future member is already forbidden everywhere.
-
-        While fewer than k colours are in play a fresh colour is always
-        available, so nothing can be dead.
-        """
-        if used < self.k:
-            return False
-        dead = self.forb[0]
-        for c in range(1, self.k):
-            dead &= self.forb[c]
-        if not dead:
-            return False
-        if self.frontier_mode:
-            # only members needed to push the frontier past `deepest` matter
-            window = self.suffix_masks[depth + 1] ^ self.suffix_masks[self.deepest + 1]
+            prunes += 1
         else:
-            window = self.suffix_masks[depth + 1]
-        return bool(dead & window)
+            d -= 1
+            if d < 0:
+                break
+            c = colour[d]
+            u = used[d]
+        # take back colour c at depth d, then try the next one there
+        forb[c] = saved[d]
+        if product:
+            classes[c].pop()
+        else:
+            masks[c] ^= mbit[d]
+        c += 1
+    return _Run(found, complete, nodes, prunes, deepest, best)
+
+
+def _check_search_args(k: int, node_limit: Optional[int]) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError("node_limit must be >= 0")
+
+
+def _colouring(ground: IntegerSubset, k: int, members: Sequence[int],
+               assign: list[int]) -> Colouring:
+    return Colouring.from_map(ground, k, {m: c + 1 for m, c in zip(members, assign)})
 
 
 def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
@@ -199,16 +200,14 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
     If `node_limit` is exhausted first, SearchInconclusive is raised
     rather than returning None.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    members = [int(m) for m in ground.members()]
-    search = _Search(members, k, system, symmetry_breaking=symmetry_breaking,
-                     node_limit=node_limit)
-    search.run()
-    if search.found is None:
+    _check_search_args(k, node_limit)
+    members = ground.members().tolist()
+    run = _search(members, k, system, symmetry_breaking, node_limit)
+    if not run.complete:
+        raise SearchInconclusive(run.nodes, run.deepest)
+    if run.found is None:
         return None
-    colour_of = {m: c + 1 for m, c in zip(members, search.found)}
-    return Colouring.from_map(ground, k, colour_of)
+    return _colouring(ground, k, members, run.found)
 
 
 def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
@@ -237,35 +236,23 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
 
     start = time.perf_counter()
     members = list(range(1, max_n + 1))
-    search = _Search(members, k, system,
-                     symmetry_breaking=config.symmetry_breaking,
-                     node_limit=config.node_limit, frontier_mode=True)
-    inconclusive = False
-    try:
-        search.run()
-    except SearchInconclusive:
-        inconclusive = True
+    run = _search(members, k, system, config.symmetry_breaking, config.node_limit,
+                  frontier_mode=True)
     elapsed = time.perf_counter() - start
 
-    deepest = search.deepest
+    deepest = run.deepest
     witness = None
     if deepest > 0:
-        w_ground = IntegerSubset.full(1, deepest)
-        witness = Colouring.from_map(w_ground, k,
-                                     {m: c + 1 for m, c in zip(members, search.best)})
+        witness = _colouring(IntegerSubset.full(1, deepest), k, members, run.best)
         check = has_mono_triple(witness, system)
         if check is not None:
             raise RuntimeError(f"internal error: witness fails re-check with {check}")
-    if search.found is not None:
-        # the ceiling itself admits a good colouring, so the value is beyond it
-        inconclusive = True
-    if inconclusive:
-        return SolverOutcome(value=None, witness=witness,
-                             nodes_explored=search.nodes, elapsed=elapsed,
-                             conclusive=False, lower_bound=deepest + 1)
-    return SolverOutcome(value=deepest + 1, witness=witness,
-                         nodes_explored=search.nodes, elapsed=elapsed,
-                         conclusive=True, lower_bound=deepest + 1)
+    # a good colouring of the whole ceiling puts the value beyond it
+    conclusive = run.complete and run.found is None
+    return SolverOutcome(value=deepest + 1 if conclusive else None, witness=witness,
+                         nodes_explored=run.nodes, elapsed=elapsed,
+                         conclusive=conclusive, lower_bound=deepest + 1,
+                         prunes=run.prunes)
 
 
 def schur_bounds(k: int) -> tuple[int, int]:
@@ -301,6 +288,7 @@ def max_non_schur_subset(n: int, k: int, system: TripleSystem
     largest size first; the first that admits a good colouring wins,
     which fixes the tie-break deterministically.
     """
+    _check_search_args(k, None)
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
@@ -312,10 +300,10 @@ def max_non_schur_subset(n: int, k: int, system: TripleSystem
     interval = Interval(lo, n)
     for size in range(len(universe), 0, -1):
         for subset in combinations(universe, size):
-            ground = IntegerSubset.from_members(interval, subset)
-            witness = exists_good_colouring(ground, k, system)
-            if witness is not None:
-                return size, ground, witness
+            run = _search(subset, k, system)
+            if run.found is not None:
+                ground = IntegerSubset.from_members(interval, subset)
+                return size, ground, _colouring(ground, k, subset, run.found)
     # even the empty set is vacuously good, but sizes >= 1 always succeed
     # for singletons under the sum systems; reaching here means n < lo
     raise RuntimeError("unreachable: singleton subsets admit good colourings")

@@ -176,6 +176,24 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "value: 5" in out
 
+    def test_schur_report_lines(self, capsys):
+        assert main(["schur", "--k", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        report = dict(line.split(": ", 1) for line in lines)
+        assert list(report) == ["k", "system", "value", "lower_bound",
+                                "nodes_explored", "prunes", "ns_per_node",
+                                "elapsed_s"]
+        assert (report["value"], report["nodes_explored"], report["prunes"]) == \
+            ("14", "212", "86")
+        assert int(report["ns_per_node"]) > 0
+
+    @pytest.mark.parametrize("limit", ["-1", "-50"])
+    def test_schur_negative_node_limit_is_usage(self, limit, capsys):
+        assert main(["schur", "--k", "3", "--node-limit", limit]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node_limit" in captured.err
+
     def test_schur_inconclusive_is_two(self, capsys):
         assert main(["schur", "--k", "3", "--node-limit", "20"]) == EXIT_INCONCLUSIVE
         assert "inconclusive" in capsys.readouterr().out

@@ -1,4 +1,14 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodschur.core import (
     IntegerSubset,
@@ -15,8 +25,10 @@ from prodschur.solver import (
     max_non_schur_subset,
     schur_bounds,
     schur_number,
+    _search,
 )
-from conftest import brute_exists_good
+import prodschur
+from conftest import brute_exists_good, brute_mono_triples
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -73,6 +85,150 @@ class TestExistsGoodColouring:
         ground = IntegerSubset.from_members(Interval(1, 4), [1, 3])
         assert exists_good_colouring(ground, 3, PROD) is None
 
+    @pytest.mark.parametrize("lo,k,digest", [
+        (4, 2, "66585660a15cb091"),
+        (2, 3, "93dfc821e67d966b"),
+    ])
+    def test_long_product_grounds_need_no_recursion(self, lo, k, digest):
+        """Grounds far deeper than the default recursion limit of 1000.
+
+        The digest of the 0-based colour list is the one the recursive
+        search produced (run with a raised recursion limit).
+        """
+        ground = IntegerSubset.full(lo, 1000)
+        col = exists_good_colouring(ground, k, PROD)
+        assert col is not None and col.ground == ground
+        colour_of = {m: col.colour_of(m) for m in range(lo, 1001)}
+        assert brute_mono_triples(colour_of, PROD) == []
+        zero_based = bytes(c - 1 for c in colour_of.values())
+        assert hashlib.sha256(zero_based).hexdigest()[:16] == digest
+
+    def test_negative_node_limit_rejected(self):
+        ground = IntegerSubset.full(1, 5)
+        with pytest.raises(ValueError, match="node_limit"):
+            exists_good_colouring(ground, 2, SUM, node_limit=-1)
+        with pytest.raises(ValueError, match="node_limit"):
+            is_k_schur(ground, 2, SUM, node_limit=-1)
+
+    def test_zero_node_limit_is_inconclusive_with_no_nodes(self):
+        with pytest.raises(SearchInconclusive) as info:
+            exists_good_colouring(IntegerSubset.full(1, 5), 2, SUM, node_limit=0)
+        assert info.value.nodes_explored == 0
+        assert exists_good_colouring(IntegerSubset.full(1, 4), 2, SUM,
+                                     node_limit=100) is not None
+
+    def test_powers_of_two_product_mirror_sum_on_exponents(self):
+        """2^a * 2^b = 2^(a+b): the product search on {2, 4, ..., 2^13} walks
+        the same tree as the sum search on [1,13] and finds the same colouring."""
+        powers = [2 ** e for e in range(1, 14)]
+        prod_run = _search(powers, 3, PROD)
+        sum_run = _search(list(range(1, 14)), 3, SUM)
+        assert prod_run == sum_run
+        ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
+        col = exists_good_colouring(ground, 3, PROD)
+        assert [col.colour_of(m) for m in powers] == [c + 1 for c in sum_run.found]
+        assert brute_mono_triples({m: col.colour_of(m) for m in powers}, PROD) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the address-space size from /proc")
+    def test_sparse_ground_with_large_top_member_stays_small(self):
+        """Bit words grow with the top member, never a table over all values.
+
+        {2, 4, ..., 2^20} has 20 members; a 1 << v table for every v up to
+        2^20 would need about 73 GB.  The child runs with its address space
+        capped at 512 MB above its size after import.
+        """
+        script = textwrap.dedent("""
+            import json, os, resource
+            from prodschur.core import IntegerSubset, Interval, TripleSystem
+            from prodschur.solver import _search, exists_good_colouring
+            with open("/proc/self/statm") as f:
+                size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), hard))
+            powers = [2 ** e for e in range(1, 21)]
+            ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
+            out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None}
+            for k in (2, 3):
+                prod = _search(powers, k, TripleSystem.PRODUCT)
+                plain = _search(list(range(1, 21)), k, TripleSystem.SUM)
+                out[k] = [prod == plain, prod.nodes]
+            print(json.dumps(out))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(prodschur.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        assert out["none"] is True
+        assert out["2"] == [True, 5] and out["3"][0] is True
+
+
+@st.composite
+def gappy_grounds(draw):
+    lo = draw(st.integers(1, 6))
+    members = sorted(draw(st.sets(st.integers(lo, lo + 24), min_size=1, max_size=10)))
+    return IntegerSubset.from_members(Interval(lo, members[-1]), members)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(gappy_grounds(), st.integers(1, 3), st.sampled_from(list(TripleSystem)),
+           st.booleans())
+    def test_exists_good_colouring_matches_enumeration(self, ground, k, system,
+                                                       symmetry_breaking):
+        members = [int(m) for m in ground.members()]
+        got = exists_good_colouring(ground, k, system,
+                                    symmetry_breaking=symmetry_breaking)
+        assert (got is not None) == brute_exists_good(members, k, system)
+        if got is not None:
+            assert got.ground == ground and got.k == k
+            assert brute_mono_triples({m: got.colour_of(m) for m in members},
+                                      system) == []
+
+
+class TestPinnedSearchOrder:
+    """Node counts and witnesses of the earlier recursive search.
+
+    The search must visit nodes in the same order, so every count and
+    witness recorded from it must come out the same.  Prune counts were
+    recorded when the counter was added; a dead member one step ahead is
+    also caught by the child's empty colour scan, so a window that skips
+    it keeps the node count and shows only in `prunes`.
+    """
+
+    S3_WITNESS = [1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1]
+
+    @pytest.mark.parametrize("system,symmetry_breaking,nodes,prunes", [
+        (SUM, True, 212, 86), (DSUM, True, 80, 24),
+        (SUM, False, 1194, 476), (DSUM, False, 452, 139),
+    ])
+    def test_schur_number_k3(self, system, symmetry_breaking, nodes, prunes):
+        cfg = SearchConfig(k=3, system=system, symmetry_breaking=symmetry_breaking)
+        out = schur_number(3, system, cfg)
+        assert out.value == 14
+        assert (out.nodes_explored, out.prunes) == (nodes, prunes)
+        assert out.witness.dense()[1:].tolist() == self.S3_WITNESS
+
+    @pytest.mark.parametrize("members,k,system,nodes,deepest,prunes", [
+        (range(2, 33), 2, PROD, 157, 15, 56),
+        (range(2, 41), 2, PROD, 157, 15, 56),
+        (range(4, 1001), 2, PROD, 1007, 997, 10),
+        (range(2, 1001), 3, PROD, 1006, 999, 7),
+        (range(1, 14), 3, SUM, 80, 13, 30),
+        (range(1, 14), 3, DSUM, 15, 13, 2),
+    ])
+    def test_goal_search(self, members, k, system, nodes, deepest, prunes):
+        run = _search(list(members), k, system)
+        assert run.complete
+        assert (run.nodes, run.deepest, run.prunes) == (nodes, deepest, prunes)
+        assert (run.found is not None) == (deepest == len(members))
+
+    def test_goal_search_colouring(self):
+        col = exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM,
+                                    symmetry_breaking=False)
+        assert col.dense()[1:].tolist() == self.S3_WITNESS
+
 
 class TestSchurNumber:
     def test_k1(self):
@@ -114,14 +270,29 @@ class TestSchurNumber:
         for n in (5, 6, 7, 8):
             assert exists_good_colouring(IntegerSubset.full(1, n), 2, SUM) is None
 
+    def test_negative_node_limit_rejected(self):
+        with pytest.raises(ValueError, match="node_limit"):
+            SearchConfig(k=3, node_limit=-1)
+
+    def test_ns_per_node(self):
+        out = schur_number(3, SUM)
+        assert out.ns_per_node == pytest.approx(out.elapsed / out.nodes_explored * 1e9)
+
     def test_node_limit_gives_inconclusive_outcome(self):
         cfg = SearchConfig(k=3, system=SUM, node_limit=50)
         out = schur_number(3, SUM, cfg)
         assert not out.conclusive
         assert out.value is None
-        assert 1 <= out.lower_bound <= 14
-        assert out.witness is not None
+        assert out.nodes_explored == 50
+        # bound and witness as the earlier recursive search left them
+        assert out.lower_bound == 13
+        assert out.witness.dense()[1:].tolist() == [1, 2, 1, 3, 2, 3, 3, 1, 3, 1, 2, 1]
         assert has_mono_triple(out.witness, SUM) is None
+
+    def test_zero_node_limit_explores_nothing(self):
+        out = schur_number(3, SUM, SearchConfig(k=3, node_limit=0))
+        assert not out.conclusive and out.nodes_explored == 0
+        assert out.lower_bound == 1 and out.witness is None
 
     def test_low_ceiling_gives_inconclusive_with_lower_bound(self):
         cfg = SearchConfig(k=2, system=SUM, max_n=3)
@@ -197,3 +368,21 @@ class TestMaxNonSchurSubset:
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             max_non_schur_subset(40, 2, SUM)
+
+    @pytest.mark.parametrize("n,system,members,dense", [
+        (12, SUM, [1, 2, 3, 4, 6, 7, 8, 9, 11, 12],
+         [0, 1, 2, 2, 1, 0, 1, 2, 2, 1, 0, 1, 2]),
+        (16, PROD, list(range(2, 17)),
+         [0, 0, 1, 1, 2, 1, 2, 1, 2, 2, 2, 1, 1, 1, 2, 2, 1]),
+    ])
+    def test_pinned_winner(self, n, system, members, dense):
+        """Subset and colouring recorded before the search ran on bare tuples."""
+        size, subset, colouring = max_non_schur_subset(n, 2, system)
+        assert size == len(members)
+        assert subset.members().tolist() == members
+        assert colouring.ground == subset and colouring.k == 2
+        assert colouring.dense(n).tolist() == dense
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            max_non_schur_subset(6, 0, SUM)
