@@ -10,7 +10,6 @@ from .core import (
     SolverOutcome,
     TripleSystem,
     has_mono_triple,
-    triple_satisfied,
 )
 from .solver import (
     SearchConfig,
@@ -44,8 +43,6 @@ from .counting import (
     count_product_triples,
     divisor_count_table,
     divisors_in_interval_indicator,
-    enumerate_product_triples,
-    factorisation_pairs,
     max_divisor_count,
     min_monochromatic_bruteforce,
     multiplication_table_count,

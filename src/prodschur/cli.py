@@ -360,6 +360,8 @@ def _cmd_construct(args) -> int:
 def _cmd_count(args) -> int:
     what = args.what
     if what == "triples":
+        if args.n < 2:  # the reference 0.5 n log n is 0 at n = 1
+            raise _UsageError(f"--n must be >= 2 for triples, got {args.n}")
         tc = count_product_triples(args.n)
         print(f"total: {tc.total}")
         print(f"off_diagonal: {tc.off_diagonal}")
@@ -381,6 +383,8 @@ def _cmd_count(args) -> int:
             raise _UsageError("--name must be one of mod5, eleven, log-product")
         print(f"monochromatic: {count_monochromatic(colouring, system)}")
     elif what == "divisors":
+        if args.n < 3:  # the reference log n / log log n needs log log n > 0
+            raise _UsageError(f"--n must be >= 3 for divisors, got {args.n}")
         mx, arg = max_divisor_count(args.n)
         print(f"max: {mx}")
         print(f"argmax: {arg}")

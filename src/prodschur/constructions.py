@@ -177,6 +177,8 @@ def max_non_schur_size_bounds(k: int, n: int, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     s = s if s is not None else KNOWN_SCHUR.get(k)
     s_prime = s_prime if s_prime is not None else KNOWN_DOUBLE_SUM_SCHUR.get(k)
     if s is None or s_prime is None:

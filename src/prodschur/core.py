@@ -178,15 +178,6 @@ class Colouring:
         col[~ground._ind] = 0
         return cls(ground, k, col)
 
-    @classmethod
-    def from_classes(cls, ground: IntegerSubset, classes: list[Iterable[int]]) -> "Colouring":
-        """Colour class i (0-based) gets colour index i+1."""
-        iv = ground.interval
-        col = np.zeros(len(iv), dtype=np.int8)
-        for i, members in enumerate(classes):
-            col[np.fromiter(members, dtype=np.int64) - iv.lo] = i + 1
-        return cls(ground, len(classes), col)
-
     def colour_of(self, m: int) -> int:
         if m not in self.ground:
             raise KeyError(f"{m} is not in the ground set")
@@ -201,13 +192,6 @@ class Colouring:
         if top >= lo:
             out[lo:top + 1] = self._col[:top - lo + 1]
         return out
-
-    def colour_class(self, c: int) -> np.ndarray:
-        """Members of colour class c (1-based), increasing."""
-        return np.flatnonzero(self._col == c) + self.ground.interval.lo
-
-    def used_colours(self) -> list[int]:
-        return sorted(int(c) for c in np.unique(self._col) if c > 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Colouring):
@@ -263,17 +247,6 @@ class ExperimentRecord:
     @property
     def frequency(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
-
-
-def triple_satisfied(a: int, b: int, c: int, system: TripleSystem) -> bool:
-    """True iff (a, b, c) solves the system's equation(s); symmetric in a, b."""
-    if min(a, b, c) < 1:
-        raise ValueError("triple elements must be positive")
-    if system is TripleSystem.SUM:
-        return a + b == c
-    if system is TripleSystem.DOUBLE_SUM:
-        return a + b == c or a + b == c - 1
-    return a * b == c
 
 
 def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem):

@@ -1,4 +1,5 @@
-"""Exact enumeration and counting for triples, divisors and table problems.
+"""Exact counting for triples, divisors and table problems, and the exact
+minimum of monochromatic triples by branch-and-bound.
 
 Counting conventions matter here: the census of product triples counts
 unordered pairs a <= b (split into off-diagonal a < b and diagonal
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,26 +61,6 @@ def count_product_triples(n: int) -> TripleCount:
     off = sum(n // a - a for a in range(2, r + 1))
     diag = max(r - 1, 0)
     return TripleCount(total=off + diag, off_diagonal=off, diagonal=diag)
-
-
-def enumerate_product_triples(n: int) -> Iterator[tuple[int, int, int]]:
-    """All (a, b, ab) with 2 <= a <= b and ab <= n, ordered by (a, b)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for a in range(2, math.isqrt(n) + 1):
-        for b in range(a, n // a + 1):
-            yield (a, b, a * b)
-
-
-def factorisation_pairs(c: int, n: int) -> set[tuple[int, int]]:
-    """All factorisations c = a*b with 2 <= a <= b and both factors <= n."""
-    if not (2 <= c <= n):
-        raise ValueError(f"need 2 <= c <= n, got c={c}, n={n}")
-    reps = set()
-    for a in range(2, math.isqrt(c) + 1):
-        if c % a == 0:
-            reps.add((a, c // a))
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +142,12 @@ def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
     return count
 
 
+# The exact minimum recurses once per member, so the cap keeps its depth far
+# below the interpreter's limit; at ~1-1.5 us per node the budget is ~10-15 s.
+_MONO_MAX_MEMBERS = 200
+_MONO_NODE_BUDGET = 10 ** 7
+
+
 def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
                                  ) -> tuple[int, Colouring]:
     """Exact minimum of monochromatic triples over all k-colourings.
@@ -169,9 +155,17 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     Ground is [1,n] for the sum systems and [2,n] for products.  The
     minimiser returned is the lexicographically least colour sequence
     (colours of the ground elements in increasing order) attaining the
-    minimum.  k = 1 is answered by one count for any n; larger k is
-    refused with ResourceGuardError beyond 2^22 colourings (2^24 for
-    k = 2) before any triple is listed.
+    minimum.  k = 1 is answered by one count for any n.  Larger k runs a
+    depth-first branch-and-bound: members are coloured in increasing
+    order with canonical colours (colour c + 1 only after colour c), and
+    a member x given colour c adds the triples it closes, the listed
+    pairs (a, b), a <= b < x, with a, b already coloured c.  A child is
+    pruned once its count reaches the best complete count so far, so the
+    first colouring in DFS order to reach each new best is the least
+    minimiser, and a zero ends the search.  Grounds beyond
+    _MONO_MAX_MEMBERS members are refused before any triple is listed,
+    and a search beyond _MONO_NODE_BUDGET nodes is refused mid-way, both
+    with ResourceGuardError.
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
@@ -185,48 +179,37 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     if k == 1:
         count, _ = _mono_scan(ones, lo, n, system, collect=False)
         return count, Colouring(ground, 1, ones[lo:])
-    two_colour = k == 2 and m <= 24
-    if not two_colour and k ** min(m, 23) > 2 ** 22:  # k >= 2: no big power
-        raise ResourceGuardError(
-            f"{k}^{m} colourings is beyond the brute-force guard (2^22)")
-    members = list(range(lo, n + 1))
+    if m > _MONO_MAX_MEMBERS:
+        raise ResourceGuardError(f"{m} members is beyond the exact minimum's "
+                                 f"cap ({_MONO_MAX_MEMBERS})")
     _, triples = _mono_scan(ones, lo, n, system, collect=True)
-    if two_colour:
-        return _min_mono_two_colour(members, triples)
-
-    best_count: Optional[int] = None
-    best_assign: Optional[tuple[int, ...]] = None
-    index = {e: i for i, e in enumerate(members)}
-    tri_idx = [(index[a], index[b], index[c]) for a, b, c in triples]
-    for assign in iter_product(range(k), repeat=m):
-        cnt = sum(1 for ia, ib, ic in tri_idx
-                  if assign[ia] == assign[ib] == assign[ic])
-        if best_count is None or cnt < best_count:
-            best_count, best_assign = cnt, assign
-            if cnt == 0:
-                break  # lexicographically first zero mino is globally first
-    witness = Colouring.from_map(ground, k,
-                                 {e: c + 1 for e, c in zip(members, best_assign)})
-    return best_count, witness
-
-
-def _min_mono_two_colour(members: list[int], triples: list[tuple[int, int, int]]
-                         ) -> tuple[int, Colouring]:
-    """Vectorised 2-colouring minimum: one bit per element, msb = first element."""
-    m = len(members)
-    index = {e: i for i, e in enumerate(members)}
-    ids = np.arange(1 << m, dtype=np.uint32)
-    counts = np.zeros(1 << m, dtype=np.uint16)
+    closing = [[] for _ in range(m)]  # member index -> pairs (a, b) it closes
     for a, b, c in triples:
-        sa, sb, sc = (np.uint32(m - 1 - index[e]) for e in (a, b, c))
-        differ = (((ids >> sa) ^ (ids >> sb)) | ((ids >> sb) ^ (ids >> sc))) & np.uint32(1)
-        counts += (differ == 0)
-    best_id = int(np.argmin(counts))
-    lo = members[0]
-    ground = IntegerSubset.full(lo, members[-1])
-    colour_of = {e: ((best_id >> (m - 1 - i)) & 1) + 1 for i, e in enumerate(members)}
-    witness = Colouring.from_map(ground, 2, colour_of)
-    return int(counts[best_id]), witness
+        closing[c - lo].append((a - lo, b - lo))
+    colour = [0] * m  # 0-based colours of the members coloured so far
+    # best starts above any count, so the first descent sets best_colour
+    best, best_colour, nodes = len(triples) + 1, None, 0
+
+    def extend(i: int, used: int, count: int) -> None:
+        nonlocal best, best_colour, nodes
+        nodes += 1
+        if nodes > _MONO_NODE_BUDGET:
+            raise ResourceGuardError(f"exact minimum beyond its node budget "
+                                     f"({_MONO_NODE_BUDGET})")
+        if i == m:
+            best, best_colour = count, colour.copy()
+            return
+        cost = [0] * k
+        for ia, ib in closing[i]:
+            if colour[ia] == colour[ib]:
+                cost[colour[ia]] += 1
+        for c in range(min(used + 1, k)):
+            if count + cost[c] < best:
+                colour[i] = c
+                extend(i + 1, max(used, c + 1), count + cost[c])
+
+    extend(0, 0, 0)
+    return best, Colouring(ground, k, np.array(best_colour) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def brute_exists_good(members, k, system) -> bool:
     return False
 
 
+def brute_min_mono(members, k, system) -> tuple:
+    """(minimum count, lexicographically least minimising colours) over all
+    k^|members| colourings, colours listed by increasing member."""
+    members = sorted(members)
+    best = best_assign = None
+    for assign in iter_product(range(1, k + 1), repeat=len(members)):
+        count = len(brute_mono_triples(dict(zip(members, assign)), system))
+        if best is None or count < best:
+            best, best_assign = count, assign
+    return best, best_assign
+
+
+def class_map(classes) -> dict:
+    """{member: colour} with class i (0-based) coloured i + 1."""
+    return {m: i + 1 for i, members in enumerate(classes) for m in members}
+
+
 def brute_contains_product(members) -> bool:
     members = sorted(members)
     mem = set(members)

@@ -222,6 +222,18 @@ class TestExitCodes:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--what", "triples", "--n", "1"],
+        ["count", "--what", "divisors", "--n", "1"],
+        ["count", "--what", "divisors", "--n", "2"],
+        ["gstar", "--k", "2", "--n", "0", "--eps", "0.5"],
+    ])
+    def test_degenerate_n_is_usage(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be >=" in err
+
     def test_gstar(self, capsys):
         assert main(["gstar", "--k", "2", "--n", "1000000", "--eps", "0.5"]) == EXIT_OK
         out = capsys.readouterr().out

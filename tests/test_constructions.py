@@ -23,6 +23,7 @@ from prodschur.constructions import (
 )
 from prodschur.counting import count_monochromatic
 from prodschur.solver import schur_number
+from conftest import class_map
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -135,7 +136,7 @@ class TestProductFreeColouring:
 
     def test_bad_base_rejected(self):
         ground = IntegerSubset.full(1, 4)
-        all_one = Colouring.from_classes(ground, [[1, 2, 3, 4], []])
+        all_one = Colouring.from_map(ground, 2, class_map([[1, 2, 3, 4]]))
         with pytest.raises(ValueError):
             product_free_colouring(2, 10 ** 4, all_one)
 
@@ -182,8 +183,8 @@ class TestMod5:
     def test_n10_members_and_classes(self):
         A, col = mod5_colouring(10)
         assert list(A.members()) == [1, 2, 3, 4, 6, 7, 8, 9]
-        assert list(col.colour_class(1)) == [1, 4, 6, 9]
-        assert list(col.colour_class(2)) == [2, 3, 7, 8]
+        assert list(np.flatnonzero(col.dense() == 1)) == [1, 4, 6, 9]
+        assert list(np.flatnonzero(col.dense() == 2)) == [2, 3, 7, 8]
         assert verify_colouring_free(col, SUM) == []
 
     @pytest.mark.parametrize("n,size", [(5, 4), (10, 8), (11, 9)])
@@ -204,12 +205,12 @@ class TestMod5:
 class TestElevenInterval:
     def test_n22(self):
         col = eleven_interval_colouring(22)
-        assert list(col.colour_class(1)) == list(range(9, 21))
-        assert list(col.colour_class(2)) == [1, 2, 3, 4, 5, 6, 7, 8, 21, 22]
+        assert list(np.flatnonzero(col.dense() == 1)) == list(range(9, 21))
+        assert list(np.flatnonzero(col.dense() == 2)) == [1, 2, 3, 4, 5, 6, 7, 8, 21, 22]
 
     def test_n11(self):
         col = eleven_interval_colouring(11)
-        assert list(col.colour_class(1)) == [5, 6, 7, 8, 9, 10]
+        assert list(np.flatnonzero(col.dense() == 1)) == [5, 6, 7, 8, 9, 10]
 
     def test_count_band_at_110(self):
         col = eleven_interval_colouring(110)
@@ -277,7 +278,7 @@ class TestPerturbedBlockerSet:
 class TestVerifyColouringFree:
     def test_trivial_violation(self):
         g = IntegerSubset.full(1, 2)
-        col = Colouring.from_classes(g, [[1, 2]])
+        col = Colouring.from_map(g, 1, class_map([[1, 2]]))
         assert verify_colouring_free(col, SUM) == [(1, 1, 2)]
 
     def test_mod5_50_clean(self):

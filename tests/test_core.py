@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from prodschur.core import (
     Interval,
     TripleSystem,
     has_mono_triple,
-    triple_satisfied,
 )
 from prodschur.counting import count_monochromatic
 from prodschur.randomlab import contains_product_triple
@@ -19,6 +21,8 @@ from conftest import (
     brute_contains_product,
     brute_first_mono,
     brute_mono_triples,
+    class_map,
+    completions,
 )
 
 SUM = TripleSystem.SUM
@@ -84,12 +88,12 @@ class TestIntegerSubset:
 
 
 class TestColouring:
-    def test_from_classes_and_queries(self):
+    def test_from_map_and_queries(self):
         g = IntegerSubset.full(1, 4)
-        c = Colouring.from_classes(g, [[1, 4], [2, 3]])
+        c = Colouring.from_map(g, 2, class_map([[1, 4], [2, 3]]))
         assert c.colour_of(1) == 1 and c.colour_of(3) == 2
-        assert list(c.colour_class(1)) == [1, 4]
-        assert c.used_colours() == [1, 2]
+        assert list(np.flatnonzero(c.dense() == 1)) == [1, 4]
+        assert sorted(set(c.dense()) - {0}) == [1, 2]
 
     def test_colour_of_non_member(self):
         g = IntegerSubset.from_members(Interval(1, 5), [1, 5])
@@ -118,7 +122,7 @@ class TestColouring:
         g = IntegerSubset.from_members(Interval(2, 6), [2, 5])
         c = Colouring.from_map(g, 2, {2: 2, 5: 1, 3: 1, 99: 2})
         assert (c.colour_of(2), c.colour_of(5)) == (2, 1)
-        assert list(c.colour_class(1)) == [5]
+        assert list(np.flatnonzero(c.dense() == 1)) == [5]
 
     def test_from_map_missing_member(self):
         g = IntegerSubset.from_members(Interval(2, 6), [2, 5])
@@ -126,7 +130,17 @@ class TestColouring:
             Colouring.from_map(g, 2, {2: 1})
 
 
+def kernel_lists(a, b, c, system):
+    """Whether the row kernel lists (a, b, c) once {a, b, c} is one colour."""
+    members = {a, b, c}
+    ground = IntegerSubset.from_members(Interval(min(members), max(members)), members)
+    colouring = Colouring.from_map(ground, 1, dict.fromkeys(members, 1))
+    return (min(a, b), max(a, b), c) in verify_colouring_free(colouring, system)
+
+
 class TestTripleSatisfied:
+    """Which (a, b, c) solve each system, read off the shared row kernel."""
+
     @pytest.mark.parametrize("a,b,c,system,expected", [
         (1, 1, 2, SUM, True),
         (2, 2, 5, DSUM, True),   # 2+2 = 5-1
@@ -137,26 +151,26 @@ class TestTripleSatisfied:
         (1, 1, 1, PROD, True),   # 1*1 = 1, the literal reading
     ])
     def test_examples(self, a, b, c, system, expected):
-        assert triple_satisfied(a, b, c, system) is expected
+        assert kernel_lists(a, b, c, system) is expected
 
     def test_symmetry_exhaustive_small(self):
         for system in TripleSystem:
             for a in range(1, 31):
                 for b in range(1, 31):
                     for c in (a + b, a + b + 1, a * b, 7):
-                        assert triple_satisfied(a, b, c, system) == \
-                            triple_satisfied(b, a, c, system)
+                        assert kernel_lists(a, b, c, system) == \
+                            (c in completions(b, a, system)), (a, b, c, system)
 
     def test_symmetry_random_up_to_1000(self, rng):
         for system in TripleSystem:
             for _ in range(2000):
                 a, b, c = (rng.randint(1, 1000) for _ in range(3))
-                assert triple_satisfied(a, b, c, system) == \
-                    triple_satisfied(b, a, c, system)
+                assert kernel_lists(a, b, c, system) == \
+                    (c in completions(b, a, system)), (a, b, c, system)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            triple_satisfied(0, 1, 1, SUM)
+            kernel_lists(0, 1, 1, SUM)
 
     def test_parse(self):
         assert TripleSystem.parse("double-sum") is DSUM
@@ -167,11 +181,11 @@ class TestTripleSatisfied:
 class TestHasMonoTriple:
     def test_spec_examples(self):
         g = IntegerSubset.full(1, 2)
-        both_one = Colouring.from_classes(g, [[1, 2]])
+        both_one = Colouring.from_map(g, 1, class_map([[1, 2]]))
         assert has_mono_triple(both_one, SUM) == (1, 1, 2, 1)
 
         g4 = IntegerSubset.full(1, 4)
-        split = Colouring.from_classes(g4, [[1, 4], [2, 3]])
+        split = Colouring.from_map(g4, 2, class_map([[1, 4], [2, 3]]))
         assert has_mono_triple(split, SUM) is None
 
         gp = IntegerSubset.from_members(Interval(2, 6), [2, 3, 6])
@@ -250,3 +264,18 @@ class TestExperimentRecord:
             ExperimentRecord(n=10, p=0.5, seed=1, trials=4, successes=5)
         with pytest.raises(ValueError):
             ExperimentRecord(n=10, p=1.5, seed=1, trials=4, successes=1)
+
+
+def test_conftest_imports_only_triple_system():
+    """The oracles stay independent: conftest may take only TripleSystem
+    from the library."""
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    library = {(module, name) for module, name in imported
+               if module == "prodschur" or module.startswith("prodschur.")}
+    assert library == {("prodschur.core", "TripleSystem")}

@@ -1,5 +1,5 @@
 import math
-from itertools import product as iter_product
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +18,6 @@ from prodschur.counting import (
     count_product_triples,
     divisor_count_table,
     divisors_in_interval_indicator,
-    enumerate_product_triples,
-    factorisation_pairs,
     max_divisor_count,
     min_monochromatic_bruteforce,
     multiplication_table_count,
@@ -30,11 +28,215 @@ from prodschur.constructions import (
     mod5_colouring,
     verify_colouring_free,
 )
-from conftest import brute_mono_triples
+from conftest import brute_min_mono, brute_mono_triples
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
 PROD = TripleSystem.PRODUCT
+
+
+# (n, k, system, minimum, least minimising colours by increasing member) for
+# every k <= 6 that full enumeration could reach (k^m <= 2^22 colourings of
+# m members, 2^24 for k = 2), recorded from that enumeration.
+_PINNED = """
+1 2 sum 0 1
+2 2 sum 0 12
+3 2 sum 0 121
+4 2 sum 0 1221
+5 2 sum 1 11221
+6 2 sum 1 112221
+7 2 sum 2 1112221
+8 2 sum 2 11122221
+9 2 sum 3 111222211
+10 2 sum 4 1111222221
+11 2 sum 5 11112222211
+12 2 sum 6 111112222221
+13 2 sum 7 1111122222211
+14 2 sum 8 11111222222121
+15 2 sum 9 111112222222211
+16 2 sum 11 1111112222222121
+17 2 sum 12 11111122222222211
+18 2 sum 14 111111122222222121
+19 2 sum 15 1111111222222222211
+20 2 sum 17 11111112222222222111
+21 2 sum 19 111111112222222222211
+22 2 sum 21 1111111122222222222111
+23 2 sum 23 11111111122222222222211
+24 2 sum 25 111111111222222222222111
+1 2 double-sum 0 1
+2 2 double-sum 0 12
+3 2 double-sum 0 122
+4 2 double-sum 0 1221
+5 2 double-sum 1 11222
+6 2 double-sum 1 112221
+7 2 double-sum 2 1122211
+8 2 double-sum 3 11122221
+9 2 double-sum 4 111222211
+10 2 double-sum 5 1112222211
+11 2 double-sum 7 11112222211
+12 2 double-sum 8 111122222211
+13 2 double-sum 10 1111222222211
+14 2 double-sum 12 11111222222211
+15 2 double-sum 14 111112222222211
+16 2 double-sum 17 1111112222222211
+17 2 double-sum 19 11111122222222211
+18 2 double-sum 22 111111222222222111
+19 2 double-sum 25 1111111222222222211
+20 2 double-sum 28 11111112222222222111
+21 2 double-sum 31 111111122222222222111
+22 2 double-sum 35 1111111122222222222111
+23 2 double-sum 38 11111111222222222222111
+24 2 double-sum 42 111111112222222222222111
+2 2 product 0 1
+3 2 product 0 11
+4 2 product 0 112
+5 2 product 0 1121
+6 2 product 0 11212
+7 2 product 0 112121
+8 2 product 0 1121211
+9 2 product 0 11212112
+10 2 product 0 112121122
+11 2 product 0 1121211221
+12 2 product 0 11212112211
+13 2 product 0 112121122111
+14 2 product 0 1121211221112
+15 2 product 0 11212112211122
+16 2 product 0 112121222111221
+17 2 product 0 1121212221112211
+18 2 product 0 11212122211122111
+19 2 product 0 112121222111221111
+20 2 product 0 1121212221112211111
+21 2 product 0 11212122211122111112
+22 2 product 0 112121222111221111122
+23 2 product 0 1121212221112211111221
+24 2 product 0 11212122212122111112211
+25 2 product 0 112121222121221111122112
+1 3 sum 0 1
+2 3 sum 0 12
+3 3 sum 0 121
+4 3 sum 0 1213
+5 3 sum 0 12131
+6 3 sum 0 121312
+7 3 sum 0 1213121
+8 3 sum 0 12131312
+9 3 sum 0 121313121
+10 3 sum 0 1213223121
+11 3 sum 0 12132331312
+12 3 sum 0 121323313121
+13 3 sum 0 1221331331221
+1 3 double-sum 0 1
+2 3 double-sum 0 12
+3 3 double-sum 0 122
+4 3 double-sum 0 1221
+5 3 double-sum 0 12213
+6 3 double-sum 0 122133
+7 3 double-sum 0 1221331
+8 3 double-sum 0 12213312
+9 3 double-sum 0 122133122
+10 3 double-sum 0 1221331221
+11 3 double-sum 0 12213313312
+12 3 double-sum 0 122133133122
+13 3 double-sum 0 1221331331221
+2 3 product 0 1
+3 3 product 0 11
+4 3 product 0 112
+5 3 product 0 1121
+6 3 product 0 11212
+7 3 product 0 112121
+8 3 product 0 1121211
+9 3 product 0 11212112
+10 3 product 0 112121122
+11 3 product 0 1121211221
+12 3 product 0 11212112211
+13 3 product 0 112121122111
+14 3 product 0 1121211221112
+1 4 sum 0 1
+2 4 sum 0 12
+3 4 sum 0 121
+4 4 sum 0 1213
+5 4 sum 0 12131
+6 4 sum 0 121312
+7 4 sum 0 1213121
+8 4 sum 0 12131214
+9 4 sum 0 121312141
+10 4 sum 0 1213121412
+11 4 sum 0 12131214121
+1 4 double-sum 0 1
+2 4 double-sum 0 12
+3 4 double-sum 0 122
+4 4 double-sum 0 1221
+5 4 double-sum 0 12213
+6 4 double-sum 0 122133
+7 4 double-sum 0 1221331
+8 4 double-sum 0 12213312
+9 4 double-sum 0 122133122
+10 4 double-sum 0 1221331221
+11 4 double-sum 0 12213312214
+2 4 product 0 1
+3 4 product 0 11
+4 4 product 0 112
+5 4 product 0 1121
+6 4 product 0 11212
+7 4 product 0 112121
+8 4 product 0 1121211
+9 4 product 0 11212112
+10 4 product 0 112121122
+11 4 product 0 1121211221
+12 4 product 0 11212112211
+1 5 sum 0 1
+2 5 sum 0 12
+3 5 sum 0 121
+4 5 sum 0 1213
+5 5 sum 0 12131
+6 5 sum 0 121312
+7 5 sum 0 1213121
+8 5 sum 0 12131214
+9 5 sum 0 121312141
+1 5 double-sum 0 1
+2 5 double-sum 0 12
+3 5 double-sum 0 122
+4 5 double-sum 0 1221
+5 5 double-sum 0 12213
+6 5 double-sum 0 122133
+7 5 double-sum 0 1221331
+8 5 double-sum 0 12213312
+9 5 double-sum 0 122133122
+2 5 product 0 1
+3 5 product 0 11
+4 5 product 0 112
+5 5 product 0 1121
+6 5 product 0 11212
+7 5 product 0 112121
+8 5 product 0 1121211
+9 5 product 0 11212112
+10 5 product 0 112121122
+1 6 sum 0 1
+2 6 sum 0 12
+3 6 sum 0 121
+4 6 sum 0 1213
+5 6 sum 0 12131
+6 6 sum 0 121312
+7 6 sum 0 1213121
+8 6 sum 0 12131214
+1 6 double-sum 0 1
+2 6 double-sum 0 12
+3 6 double-sum 0 122
+4 6 double-sum 0 1221
+5 6 double-sum 0 12213
+6 6 double-sum 0 122133
+7 6 double-sum 0 1221331
+8 6 double-sum 0 12213312
+2 6 product 0 1
+3 6 product 0 11
+4 6 product 0 112
+5 6 product 0 1121
+6 6 product 0 11212
+7 6 product 0 112121
+8 6 product 0 1121211
+9 6 product 0 11212112
+"""
+PINNED_MINIMA = [(int(n), int(k), TripleSystem.parse(s), int(count), colours)
+                 for n, k, s, count, colours in map(str.split, _PINNED.split("\n")[1:-1])]
 
 
 def brute_product_census(n):
@@ -67,48 +269,57 @@ class TestCountProductTriples:
             TripleCount(total=5, off_diagonal=3, diagonal=1)
 
 
+def product_listing(n):
+    """Every product triple (a, b, ab) with 2 <= a <= b and ab <= n, as the
+    row kernel lists them for [2, n] in one colour."""
+    ground = IntegerSubset.full(2, n)
+    return verify_colouring_free(Colouring(ground, 1, np.ones(n - 1)), PROD)
+
+
 class TestEnumerate:
     def test_examples(self):
-        assert list(enumerate_product_triples(10)) == [
+        assert product_listing(10) == [
             (2, 2, 4), (2, 3, 6), (2, 4, 8), (2, 5, 10), (3, 3, 9)]
-        assert list(enumerate_product_triples(4)) == [(2, 2, 4)]
-        assert list(enumerate_product_triples(3)) == []
+        assert product_listing(4) == [(2, 2, 4)]
+        assert product_listing(3) == []
 
     @pytest.mark.parametrize("n", [4, 30, 101, 500])
     def test_stream_length_equals_census(self, n):
-        triples = list(enumerate_product_triples(n))
+        triples = product_listing(n)
         assert len(triples) == count_product_triples(n).total
         assert triples == sorted(triples)  # ordered by (a, b)
         assert all(a * b == c <= n and 2 <= a <= b for a, b, c in triples)
 
 
 class TestFactorisationPairs:
+    """The pairs a <= b that a product c closes, as the listing groups them."""
+
     def test_examples(self):
-        assert factorisation_pairs(12, 12) == {(2, 6), (3, 4)}
-        assert factorisation_pairs(13, 20) == set()
-        assert factorisation_pairs(36, 36) == {(2, 18), (3, 12), (4, 9), (6, 6)}
+        def pairs(c, n):
+            return {(a, b) for a, b, x in product_listing(n) if x == c}
+
+        assert pairs(12, 12) == {(2, 6), (3, 4)}
+        assert pairs(13, 20) == set()
+        assert pairs(36, 36) == {(2, 18), (3, 12), (4, 9), (6, 6)}
 
     def test_bounds_by_divisor_count(self):
         n = 2000
         table = divisor_count_table(n)
-        worst = max(len(factorisation_pairs(c, n)) for c in range(2, n + 1))
-        assert worst <= int(table.max())
+        per_c = Counter(c for _, _, c in product_listing(n))
+        assert max(per_c.values()) <= int(table.max())
 
     def test_bounds_by_divisor_count_sampled_1e5(self, rng):
         n = 10 ** 5
         cap = max_divisor_count(n)[0]
+        per_c = Counter(c for _, _, c in product_listing(n))
         for c in rng.sample(range(2, n + 1), 800) + [83160, 98280]:
-            assert len(factorisation_pairs(c, n)) <= cap
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            factorisation_pairs(1, 10)
+            assert per_c[c] <= cap
 
 
 class TestCountMonochromatic:
     def test_all_one_colour_interval_4(self):
         g = IntegerSubset.full(1, 4)
-        c = Colouring.from_classes(g, [[1, 2, 3, 4]])
+        c = Colouring.from_map(g, 1, dict.fromkeys(range(1, 5), 1))
         # brute oracle: (1,1,2) (1,2,3) (1,3,4) (2,2,4)
         assert count_monochromatic(c, SUM) == 4
 
@@ -193,30 +404,47 @@ class TestMinMonochromatic:
         assert witness.ground.interval == Interval(2, 12)
 
     def test_matches_naive_enumeration(self):
-        """The vectorised 2-colour path against a from-scratch minimum."""
-        for n, system in [(7, SUM), (6, DSUM), (9, PROD)]:
-            lo = 2 if system is PROD else 1
-            members = list(range(lo, n + 1))
-            best = None
-            best_assign = None
-            for assign in iter_product((1, 2), repeat=len(members)):
-                cnt = len(brute_mono_triples(dict(zip(members, assign)), system))
-                if best is None or cnt < best:
-                    best, best_assign = cnt, assign
-            count, witness = min_monochromatic_bruteforce(n, 2, system)
-            assert count == best
-            # lexicographically least minimiser
-            got = tuple(witness.colour_of(m) for m in members)
-            assert got == best_assign
+        """Count and least minimiser against the conftest oracle on every
+        small ground: k = 2 up to 9 members, k = 3 up to 7."""
+        for k, most in ((2, 9), (3, 7)):
+            for system in (SUM, DSUM, PROD):
+                lo = 2 if system is PROD else 1
+                for n in range(lo, lo + most):
+                    members = list(range(lo, n + 1))
+                    best, best_assign = brute_min_mono(members, k, system)
+                    count, witness = min_monochromatic_bruteforce(n, k, system)
+                    assert count == best, (n, k, system)
+                    got = tuple(witness.colour_of(m) for m in members)
+                    assert got == best_assign, (n, k, system)
+
+    @pytest.mark.parametrize("n,k,system,count,colours", PINNED_MINIMA,
+                             ids=[f"{n}-{k}-{s.value}" for n, k, s, _, _ in PINNED_MINIMA])
+    def test_pinned_minimum(self, n, k, system, count, colours):
+        got, witness = min_monochromatic_bruteforce(n, k, system)
+        assert got == count
+        lo = witness.ground.interval.lo
+        assert "".join(str(witness.colour_of(m)) for m in range(lo, n + 1)) == colours
 
     def test_three_colours_generic_path(self):
         count, witness = min_monochromatic_bruteforce(13, 3, SUM)
         assert count == 0  # S(3) = 14, so [13] is 3-colourable
         assert count_monochromatic(witness, SUM) == 0
 
-    def test_guard(self):
-        with pytest.raises(ResourceGuardError):
+    def test_product_ground_26_past_the_old_cap(self):
+        """25 members, beyond the old 2-colour enumeration: the oracle's
+        rescan of the witness certifies the zero."""
+        count, witness = min_monochromatic_bruteforce(26, 2, PROD)
+        assert count == 0
+        colour_of = {m: witness.colour_of(m) for m in range(2, 27)}
+        assert brute_mono_triples(colour_of, PROD) == []
+
+    def test_guard(self, monkeypatch):
+        """The node budget refuses mid-search, also at the deepest ground."""
+        monkeypatch.setattr(counting, "_MONO_NODE_BUDGET", 10 ** 4)
+        with pytest.raises(ResourceGuardError, match="node budget"):
             min_monochromatic_bruteforce(30, 3, SUM)
+        with pytest.raises(ResourceGuardError, match="node budget"):
+            min_monochromatic_bruteforce(counting._MONO_MAX_MEMBERS + 1, 2, PROD)
 
     @staticmethod
     def _no_listing(monkeypatch):
@@ -231,10 +459,10 @@ class TestMinMonochromatic:
 
     def test_guard_fires_before_listing(self, monkeypatch):
         self._no_listing(monkeypatch)
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match="members"):
             min_monochromatic_bruteforce(1000, 3, SUM)
-        with pytest.raises(ResourceGuardError):
-            min_monochromatic_bruteforce(26, 2, PROD)  # 25 members: over the 2-colour cap
+        with pytest.raises(ResourceGuardError, match="members"):
+            min_monochromatic_bruteforce(counting._MONO_MAX_MEMBERS + 1, 2, SUM)
 
     @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
     def test_one_colour_counts_without_listing(self, system, monkeypatch):
