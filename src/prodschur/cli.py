@@ -280,6 +280,7 @@ def _cmd_schur(args) -> int:
     print(f"lower_bound: {outcome.lower_bound}")
     print(f"nodes_explored: {outcome.nodes_explored}")
     print(f"prunes: {outcome.prunes}")
+    print(f"forced: {outcome.forced}")
     print(f"ns_per_node: {outcome.ns_per_node:.0f}")
     print(f"elapsed_s: {outcome.elapsed:.3f}")
     if outcome.witness is not None and args.out:

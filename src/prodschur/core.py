@@ -210,7 +210,8 @@ class SolverOutcome:
     `conclusive` is False when a node limit or ceiling stopped the search
     before exhaustion; `lower_bound` is then the best certified bound
     (a good colouring of [lower_bound - 1] was found).  `prunes` counts
-    the branches cut because a future member had no colour left.
+    the branches cut because a future member had no colour left, and
+    `forced` the future members propagation left with one colour.
     """
 
     value: Optional[int]
@@ -220,6 +221,7 @@ class SolverOutcome:
     conclusive: bool
     lower_bound: int
     prunes: int = 0
+    forced: int = 0
 
     @property
     def ns_per_node(self) -> float:

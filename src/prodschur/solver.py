@@ -15,10 +15,31 @@ interchangeable.
 The search is one loop over an explicit stack of per-depth lists (the
 colour given, the colours in play before it, and that colour's forbid
 word before it), so its depth is not bounded by the interpreter's
-recursion limit.  Once all k colours are in play, a child is pruned when
-some future member is forbidden in every colour: the AND of the forbid
-words meets a window of future members cut from `suffix`, where
-`suffix[i]` holds the bits of members[i:].
+recursion limit.  Once all k colours are in play, each child looks at a
+window of future members cut from `suffix`, where `suffix[i]` holds the
+bits of members[i:]: all of them in goal mode, those up to `stop` in
+frontier mode.  One bit-sliced pass over the k forbid words finds the
+window members with no colour left (dead) and those with one colour left
+(forced).  Under the sum systems a forced member y joins its class
+provisionally, which forbids s+y and |s-y| to that class for every s in
+it (also s+y+1 and |s-y|-1 for the double sum); |s-y| comes from a right
+shift of the class mask and of a reversed class mask (bit hi-s for
+member s).  The pass repeats to a fixpoint, and any dead member prunes
+the child.  A forced member that an earlier one of the same round has
+already forbidden prunes at once.  Forced members stay in the window, so
+one that loses its colour in a later round is dead at the next pass.
+The provisional classes live in copies of the words made at that node,
+so backtracking restores only what an assignment changed.  The product
+system keeps the plain dead test: its differences would need
+divisibility.
+
+Propagation cuts only subtrees in which the window cannot be coloured
+well, and the nodes it keeps stay in depth-first order.  So the first
+complete good colouring is the one the plain dead test finds.  In
+frontier mode the window ends at the member that would beat the deepest
+prefix so far, so every ancestor of the first colouring to reach a new
+depth survives: the deepest prefix, its first colouring and so every
+S(k) witness are kept.
 """
 
 from __future__ import annotations
@@ -73,6 +94,7 @@ class _Run(NamedTuple):
     complete: bool               # False when the node limit stopped the search
     nodes: int
     prunes: int                  # children cut by the dead-member test
+    forced: int                  # members forced to their one colour left
     deepest: int                 # length of the longest good prefix seen
     best: list[int]              # the first colouring of that prefix
 
@@ -83,18 +105,21 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
     """Backtracking over the k-colourings of the increasing `members`.
 
     The search stops at the first complete good colouring, at the node
-    limit, or when the tree is exhausted.  Goal mode prunes on any dead
-    future member.  Frontier mode (Schur numbers) tracks the deepest good
-    prefix over the exhaustive tree and prunes only on dead members that
-    are needed to push the prefix past it, which keeps that depth exact.
+    limit, or when the tree is exhausted.  Goal mode propagates over, and
+    prunes on, every future member.  Frontier mode (Schur numbers) tracks
+    the deepest good prefix over the exhaustive tree and looks only at the
+    members needed to push the prefix past it, which keeps that depth
+    exact.  `forced` counts the members propagation forced, over all nodes.
     """
     n = len(members)
     if not n:
-        return _Run([], True, 0, 0, 0, [])
+        return _Run([], True, 0, 0, 0, 0, [])
     product = system is TripleSystem.PRODUCT
     dsum = system is TripleSystem.DOUBLE_SUM
     hi = members[-1]
     mbit = [1 << x for x in members]      # mbit[d]: the bit of members[d]
+    # rbit[d]: bit hi - members[d], so y - s is one right shift of a class
+    rbit = [0] * n if product else [1 << (hi - x) for x in members]
     suffix = [0] * (n + 1)                # suffix[i]: bits of members[i:]
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | mbit[i]
@@ -102,11 +127,12 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
     # 1*1 = 1 is itself a product triple, so 1 takes no colour
     forb = [1 << 1 if product else 0] * k
     masks = [0] * k                       # sum systems: class bitmasks
+    rmasks = [0] * k                      # and the same classes reversed
     classes: list[list[int]] = [[] for _ in range(k)]   # product: class lists
     colour = [0] * n                      # colour given at each depth
     used = [0] * n                        # colours in play before each depth
     saved = [0] * n                       # forb of that colour before it
-    nodes = prunes = deepest = 0
+    nodes = prunes = forced = deepest = 0
     best: list[int] = []
     found = None
     complete = True
@@ -137,6 +163,7 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
             else:
                 m = masks[c] | bx
                 masks[c] = m
+                rmasks[c] |= rbit[d]
                 m <<= x
                 f |= m | m << 1 if dsum else m
             forb[c] = f
@@ -152,10 +179,49 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
             nu = u if c < u else c + 1
             dead = 0
             if nu == k:       # with fewer colours in play a fresh one is free
-                dead = suffix[d + 1] ^ suffix[stop]
-                for g in forb:
-                    dead &= g
-                    if not dead:
+                window = suffix[d + 1] ^ suffix[stop]
+                fl = forb
+                done = 0      # forced here; kept in the window to catch a conflict
+                while True:
+                    # bit-sliced over the forbid words: dead members have
+                    # every colour forbidden, `most` all but at most one
+                    dead = window
+                    most = 0
+                    for g in fl:
+                        most = most & g | dead
+                        dead &= g
+                    if dead or product:
+                        break
+                    single = most & ~done
+                    if not single:
+                        break
+                    # provisional classes live in copies, so undo never sees them
+                    if fl is forb:
+                        fl = forb[:]
+                        ml = masks[:]
+                        rl = rmasks[:]
+                    done |= single
+                    forced += single.bit_count()
+                    for j in range(k):
+                        # only this group changes fl[j], so g is the round's start
+                        g = single & ~fl[j]
+                        while g:
+                            b = g & -g
+                            if fl[j] & b:     # lost its colour this round
+                                dead = b
+                                break
+                            g ^= b
+                            y = b.bit_length() - 1
+                            m = ml[j] | b
+                            ml[j] = m
+                            r = rl[j] | 1 << (hi - y)
+                            rl[j] = r
+                            r = m >> y | r >> (hi - y)        # |s - y|
+                            m <<= y                           # s + y
+                            fl[j] |= m | m << 1 | r | r >> 1 if dsum else m | r
+                        if dead:
+                            break
+                    if dead:
                         break
             if not dead:
                 d += 1
@@ -175,8 +241,9 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
             classes[c].pop()
         else:
             masks[c] ^= mbit[d]
+            rmasks[c] ^= rbit[d]
         c += 1
-    return _Run(found, complete, nodes, prunes, deepest, best)
+    return _Run(found, complete, nodes, prunes, forced, deepest, best)
 
 
 def _check_search_args(k: int, node_limit: Optional[int]) -> None:
@@ -252,7 +319,7 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
     return SolverOutcome(value=deepest + 1 if conclusive else None, witness=witness,
                          nodes_explored=run.nodes, elapsed=elapsed,
                          conclusive=conclusive, lower_bound=deepest + 1,
-                         prunes=run.prunes)
+                         prunes=run.prunes, forced=run.forced)
 
 
 def schur_bounds(k: int) -> tuple[int, int]:

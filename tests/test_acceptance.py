@@ -62,8 +62,14 @@ def test_criterion_01_exact_schur_numbers():
             assert out.elapsed < 1.0
         if k == 4:
             assert out.elapsed < 600.0
+            # witnesses: the lexicographically least canonical good colourings
+            assert "".join(map(str, out.witness.dense()[1:])) == \
+                "12131322444434141213233231214343244422313121"
         out = schur_number(k, DSUM)
         assert out.conclusive and out.value == expected_double[k], k
+        if k == 4:
+            assert "".join(map(str, out.witness.dense()[1:])) == \
+                "1221331331221441441221441441221331331221"
     _report(1, "schur numbers (2,5,14,45) and double-sum (2,5,14,41), "
                "k=3 under 1s, k=4 under 10min")
 

@@ -181,10 +181,10 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         report = dict(line.split(": ", 1) for line in lines)
         assert list(report) == ["k", "system", "value", "lower_bound",
-                                "nodes_explored", "prunes", "ns_per_node",
-                                "elapsed_s"]
-        assert (report["value"], report["nodes_explored"], report["prunes"]) == \
-            ("14", "212", "86")
+                                "nodes_explored", "prunes", "forced",
+                                "ns_per_node", "elapsed_s"]
+        assert (report["value"], report["nodes_explored"], report["prunes"],
+                report["forced"]) == ("14", "95", "49", "133")
         assert int(report["ns_per_node"]) > 0
 
     @pytest.mark.parametrize("limit", ["-1", "-50"])
@@ -195,8 +195,11 @@ class TestExitCodes:
         assert "node_limit" in captured.err
 
     def test_schur_inconclusive_is_two(self, capsys):
-        assert main(["schur", "--k", "3", "--node-limit", "20"]) == EXIT_INCONCLUSIVE
-        assert "inconclusive" in capsys.readouterr().out
+        # 50 is the README's and perfbench's `schur-k3-node-limit` command
+        for limit in ("20", "50"):
+            assert main(["schur", "--k", "3", "--node-limit", limit]) == \
+                EXIT_INCONCLUSIVE
+            assert "inconclusive" in capsys.readouterr().out
 
     def test_guard_is_three(self, capsys):
         assert main(["schur", "--k", "6"]) == EXIT_GUARD

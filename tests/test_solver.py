@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -118,12 +119,16 @@ class TestExistsGoodColouring:
                                      node_limit=100) is not None
 
     def test_powers_of_two_product_mirror_sum_on_exponents(self):
-        """2^a * 2^b = 2^(a+b): the product search on {2, 4, ..., 2^13} walks
-        the same tree as the sum search on [1,13] and finds the same colouring."""
+        """2^a * 2^b = 2^(a+b): the product search on {2, 4, ..., 2^13} finds
+        the colouring the sum search finds on [1,13].  The product system
+        has no forced-colour propagation, so its tree is the one the sum
+        search walked with the plain dead test (80 nodes, 30 prunes)."""
         powers = [2 ** e for e in range(1, 14)]
         prod_run = _search(powers, 3, PROD)
         sum_run = _search(list(range(1, 14)), 3, SUM)
-        assert prod_run == sum_run
+        assert prod_run.found == sum_run.found is not None
+        assert (prod_run.nodes, prod_run.prunes, prod_run.forced) == (80, 30, 0)
+        assert (sum_run.nodes, sum_run.prunes) == (32, 13)
         ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
         col = exists_good_colouring(ground, 3, PROD)
         assert [col.colour_of(m) for m in powers] == [c + 1 for c in sum_run.found]
@@ -152,7 +157,7 @@ class TestExistsGoodColouring:
             for k in (2, 3):
                 prod = _search(powers, k, TripleSystem.PRODUCT)
                 plain = _search(list(range(1, 21)), k, TripleSystem.SUM)
-                out[k] = [prod == plain, prod.nodes]
+                out[k] = [prod.found == plain.found, prod.nodes]
             print(json.dumps(out))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(prodschur.__file__).parents[1]))
@@ -165,18 +170,32 @@ class TestExistsGoodColouring:
 
 
 @st.composite
-def gappy_grounds(draw):
+def gappy_grounds(draw, max_size=10):
     lo = draw(st.integers(1, 6))
-    members = sorted(draw(st.sets(st.integers(lo, lo + 24), min_size=1, max_size=10)))
+    members = sorted(draw(st.sets(st.integers(lo, lo + 24), min_size=1,
+                                  max_size=max_size)))
     return IntegerSubset.from_members(Interval(lo, members[-1]), members)
+
+
+@st.composite
+def grounds_and_k(draw):
+    """k <= 3 on up to 10 members, or k = 4 on up to 7 (4^7 colourings)."""
+    k = draw(st.integers(1, 4))
+    return draw(gappy_grounds(max_size=10 if k <= 3 else 7)), k
+
+
+@functools.lru_cache(maxsize=None)
+def brute_prefix_good(p, k, system):
+    """Whether [1, p] has a good k-colouring, by enumeration (cached)."""
+    return brute_exists_good(range(1, p + 1), k, system)
 
 
 class TestAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
-    @given(gappy_grounds(), st.integers(1, 3), st.sampled_from(list(TripleSystem)),
-           st.booleans())
-    def test_exists_good_colouring_matches_enumeration(self, ground, k, system,
+    @given(grounds_and_k(), st.sampled_from(list(TripleSystem)), st.booleans())
+    def test_exists_good_colouring_matches_enumeration(self, ground_k, system,
                                                        symmetry_breaking):
+        ground, k = ground_k
         members = [int(m) for m in ground.members()]
         got = exists_good_colouring(ground, k, system,
                                     symmetry_breaking=symmetry_breaking)
@@ -186,28 +205,48 @@ class TestAgainstBruteForce:
             assert brute_mono_triples({m: got.colour_of(m) for m in members},
                                       system) == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12),
+           st.sampled_from([SUM, DSUM]), st.booleans())
+    def test_frontier_matches_enumerated_prefix(self, k, m, system,
+                                                symmetry_breaking):
+        """The frontier search under a ceiling m reaches exactly the longest
+        prefix of [1, m] that enumeration can colour."""
+        prefix = 0
+        while prefix < m and brute_prefix_good(prefix + 1, k, system):
+            prefix += 1
+        cfg = SearchConfig(k=k, system=system, max_n=m,
+                           symmetry_breaking=symmetry_breaking)
+        out = schur_number(k, system, cfg)
+        assert out.lower_bound == prefix + 1
+        assert out.conclusive == (prefix < m)
+        colour_of = {i: out.witness.colour_of(i) for i in range(1, prefix + 1)}
+        assert brute_mono_triples(colour_of, system) == []
+
 
 class TestPinnedSearchOrder:
-    """Node counts and witnesses of the earlier recursive search.
+    """Node, prune and forced counts of the search with forced-colour
+    propagation, and the witnesses and found colourings it must share
+    with the plain dead-test search before it.
 
-    The search must visit nodes in the same order, so every count and
-    witness recorded from it must come out the same.  Prune counts were
-    recorded when the counter was added; a dead member one step ahead is
-    also caught by the child's empty colour scan, so a window that skips
-    it keeps the node count and shows only in `prunes`.
+    Propagation only cuts subtrees, so values, witnesses and found
+    colourings keep the pins recorded from the plain search; the counts
+    were recorded from this one.  The product system has no propagation,
+    so its counts are the plain search's.
     """
 
     S3_WITNESS = [1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1]
 
-    @pytest.mark.parametrize("system,symmetry_breaking,nodes,prunes", [
-        (SUM, True, 212, 86), (DSUM, True, 80, 24),
-        (SUM, False, 1194, 476), (DSUM, False, 452, 139),
+    @pytest.mark.parametrize("system,symmetry_breaking,nodes,prunes,forced", [
+        (SUM, True, 95, 49, 133), (DSUM, True, 42, 18, 60),
+        (SUM, False, 367, 199, 615), (DSUM, False, 189, 88, 371),
     ])
-    def test_schur_number_k3(self, system, symmetry_breaking, nodes, prunes):
+    def test_schur_number_k3(self, system, symmetry_breaking, nodes, prunes,
+                             forced):
         cfg = SearchConfig(k=3, system=system, symmetry_breaking=symmetry_breaking)
         out = schur_number(3, system, cfg)
         assert out.value == 14
-        assert (out.nodes_explored, out.prunes) == (nodes, prunes)
+        assert (out.nodes_explored, out.prunes, out.forced) == (nodes, prunes, forced)
         assert out.witness.dense()[1:].tolist() == self.S3_WITNESS
 
     @pytest.mark.parametrize("members,k,system,nodes,deepest,prunes", [
@@ -215,7 +254,7 @@ class TestPinnedSearchOrder:
         (range(2, 41), 2, PROD, 157, 15, 56),
         (range(4, 1001), 2, PROD, 1007, 997, 10),
         (range(2, 1001), 3, PROD, 1006, 999, 7),
-        (range(1, 14), 3, SUM, 80, 13, 30),
+        (range(1, 14), 3, SUM, 32, 13, 13),
         (range(1, 14), 3, DSUM, 15, 13, 2),
     ])
     def test_goal_search(self, members, k, system, nodes, deepest, prunes):
@@ -279,6 +318,9 @@ class TestSchurNumber:
         assert out.ns_per_node == pytest.approx(out.elapsed / out.nodes_explored * 1e9)
 
     def test_node_limit_gives_inconclusive_outcome(self):
+        # the README and perfbench expect `schur --k 3 --node-limit 50` to
+        # stay inconclusive, so the full search must need more nodes
+        assert schur_number(3, SUM).nodes_explored > 50
         cfg = SearchConfig(k=3, system=SUM, node_limit=50)
         out = schur_number(3, SUM, cfg)
         assert not out.conclusive
