@@ -430,6 +430,12 @@ def _parse_multipliers(text: str) -> tuple[float, ...]:
         raise _UsageError(f"bad multiplier list {text!r}: {exc}")
 
 
+def _sweep_timings(records) -> dict:
+    """Per-phase trial seconds of a sweep, summed over its records."""
+    return {k: round(sum(rec.timings[k] for rec in records), 6)
+            for k in records[0].timings}
+
+
 def _cmd_threshold(args) -> int:
     plan = SweepPlan(n=args.n, multipliers=_parse_multipliers(args.c),
                      trials=args.trials, master_seed=args.seed,
@@ -437,7 +443,7 @@ def _cmd_threshold(args) -> int:
     t0 = time.perf_counter()
     records = threshold_sweep(plan)
     wall = time.perf_counter() - t0
-    _emit(args, _records_to_csv(records), args.seed, wall)
+    _emit(args, _records_to_csv(records), args.seed, wall, _sweep_timings(records))
     return EXIT_OK
 
 
@@ -449,7 +455,7 @@ def _cmd_perturbed(args) -> int:
     wall = time.perf_counter() - t0
     payload = _records_to_csv(records,
                               extra_cols=("alpha", "beta_alpha", "blocker_size"))
-    _emit(args, payload, args.seed, wall)
+    _emit(args, payload, args.seed, wall, _sweep_timings(records))
     return EXIT_OK
 
 

@@ -5,6 +5,14 @@ workers.  The dense-indicator representation is deliberate: membership
 tests sit inside every hot loop (triple detection, sieves), so subsets
 are stored as flat indicator arrays over their carrier interval rather
 than as sorted element lists.
+
+Indicators follow one rule: an array handed in by a caller is copied
+(`IntegerSubset(...)`, `from_dense`), since the caller may keep mutating
+it; an array the library has just built is adopted without a copy
+(`IntegerSubset._adopt`).  Either way it is then read-only.  The row
+kernel `_mono_rows` reads a carrier's own array in place through its
+offset `lo`, so a Monte Carlo trial copies nothing between drawing a
+set and detecting a triple in it.
 """
 
 from __future__ import annotations
@@ -65,20 +73,37 @@ class IntegerSubset:
     __slots__ = ("interval", "_ind")
 
     def __init__(self, interval: Interval, indicator: np.ndarray):
-        if len(indicator) != len(interval):
+        # copy what a caller hands in, which it may keep mutating; arrays
+        # the library has just built are adopted instead (`_adopt`)
+        self._hold(interval, np.array(indicator, dtype=bool))
+
+    def _hold(self, interval: Interval, ind: np.ndarray) -> None:
+        if len(ind) != len(interval):
             raise ValueError("indicator length does not match interval size")
-        # always copy: callers may hand in views of arrays they keep mutating
-        ind = np.array(indicator, dtype=bool)
         ind.flags.writeable = False
         self.interval = interval
         self._ind = ind
 
+    def __reduce__(self):
+        # unpickled through the copying constructor, so a worker's copy is read-only too
+        return IntegerSubset, (self.interval, self._ind)
+
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _adopt(cls, interval: Interval, ind: np.ndarray) -> "IntegerSubset":
+        """Wrap the bool array `ind` without copying and make it read-only.
+
+        Only for arrays the library has just allocated and hands over.
+        """
+        self = cls.__new__(cls)
+        self._hold(interval, ind)
+        return self
 
     @classmethod
     def full(cls, lo: int, hi: int) -> "IntegerSubset":
         iv = Interval(lo, hi)
-        return cls(iv, np.ones(len(iv), dtype=bool))
+        return cls._adopt(iv, np.ones(len(iv), dtype=bool))
 
     @classmethod
     def from_members(cls, interval: Interval, members: Iterable[int]) -> "IntegerSubset":
@@ -89,7 +114,7 @@ class IntegerSubset:
                              f"[{interval.lo}, {interval.hi}]")
         ind = np.zeros(len(interval), dtype=bool)
         ind[m - interval.lo] = True
-        return cls(interval, ind)
+        return cls._adopt(interval, ind)
 
     @classmethod
     def from_dense(cls, interval: Interval, dense: np.ndarray) -> "IntegerSubset":
@@ -125,8 +150,11 @@ class IntegerSubset:
         """Union carried on the smallest interval covering both operands."""
         lo = min(self.interval.lo, other.interval.lo)
         hi = max(self.interval.hi, other.interval.hi)
-        dense = self.dense(hi) | other.dense(hi)
-        return IntegerSubset.from_dense(Interval(lo, hi), dense)
+        ind = np.zeros(hi - lo + 1, dtype=bool)
+        for part in (self, other):
+            iv = part.interval
+            ind[iv.lo - lo:iv.hi - lo + 1] |= part._ind
+        return IntegerSubset._adopt(Interval(lo, hi), ind)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerSubset):
@@ -231,7 +259,12 @@ class SolverOutcome:
 
 @dataclass(frozen=True, eq=True)
 class ExperimentRecord:
-    """One row of a Monte Carlo sweep."""
+    """One row of a Monte Carlo sweep.
+
+    `timings` holds the seconds its trials spent in each phase (sample_s,
+    union_s, detect_s), summed over workers; it takes no part in equality,
+    so records agree whatever the worker count.
+    """
 
     n: int
     p: float
@@ -239,6 +272,7 @@ class ExperimentRecord:
     trials: int
     successes: int
     extra: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.successes <= self.trials):
@@ -251,30 +285,34 @@ class ExperimentRecord:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem):
+def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int = 0):
     """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi.
 
-    `col` is an absolute colour array (index = integer value, 0 = absent).
-    Walks a over the members in increasing order and yields
+    `col[i]` is the colour of lo + i (0 = absent), up to hi; lo = 0 means
+    an absolute colour array (index = integer value), lo > 0 a carrier's
+    own array read in place.  Walks a over the members in increasing
+    order and yields
     (a, shift, mask), where mask[j] says that a, b = a + j and c share
     a's colour: c = ab for products, b in [a, hi // a]; c = a + b + shift
     for the sum systems, with shift 0, or 0 then 1 for the double sum.
     Rows with no admissible b are skipped.
     """
     if system is TripleSystem.PRODUCT:
-        for a in np.flatnonzero(col[:math.isqrt(hi) + 1]):
-            a = int(a)
-            ca, b_hi = col[a], hi // a
-            yield a, 0, (col[a:b_hi + 1] == ca) & (col[a * a:a * b_hi + 1:a] == ca)
+        for i in np.flatnonzero(col[:max(math.isqrt(hi) + 1 - lo, 0)]):
+            a = int(i) + lo
+            ca, b_hi = col[i], hi // a
+            yield a, 0, ((col[i:b_hi + 1 - lo] == ca)
+                         & (col[a * a - lo:a * b_hi + 1 - lo:a] == ca))
         return
     shifts = (0, 1) if system is TripleSystem.DOUBLE_SUM else (0,)
-    for a in np.flatnonzero(col[:hi // 2 + 1]):
-        a = int(a)
-        ca = col[a]
+    for i in np.flatnonzero(col[:max(hi // 2 + 1 - lo, 0)]):
+        a = int(i) + lo
+        ca = col[i]
         for shift in shifts:
             b_hi = hi - a - shift
             if b_hi >= a:
-                yield a, shift, (col[a:b_hi + 1] == ca) & (col[2 * a + shift:hi + 1] == ca)
+                yield a, shift, ((col[i:b_hi + 1 - lo] == ca)
+                                 & (col[2 * a + shift - lo:hi + 1 - lo] == ca))
 
 
 def has_mono_triple(colouring: Colouring, system: TripleSystem):

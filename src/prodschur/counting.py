@@ -246,7 +246,8 @@ def divisors_in_interval_indicator(n: int, y: float, z: float) -> np.ndarray:
 
     Sieve: every integer d with y < d < z marks its multiples d, 2d, ...
     (x = d itself counts, via x = d * 1).  Strict inequalities on both
-    ends for determinism.
+    ends for determinism.  A d already marked has a divisor d' in (y, d)
+    whose multiples include all of d's, so it is skipped.
     """
     if not z > y:
         raise ValueError(f"need z > y, got y={y}, z={z}")
@@ -256,7 +257,8 @@ def divisors_in_interval_indicator(n: int, y: float, z: float) -> np.ndarray:
     d_lo = max(math.floor(y) + 1, 1)
     d_hi = min(math.ceil(z) - 1, n)
     for d in range(d_lo, d_hi + 1):
-        marked[d::d] = True
+        if not marked[d]:
+            marked[d::d] = True
     marked[0] = False
     return marked
 

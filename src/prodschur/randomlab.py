@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -127,10 +127,14 @@ def _bernoulli_fill(out: np.ndarray, q: float, rng: np.random.Generator) -> None
         pos[0] += last
         np.cumsum(pos, out=pos)  # float64 holds every position below 2^53 exactly
         inside = int(np.searchsorted(pos, size))
-        out[pos[:inside].astype(np.intp)] = True
+        last = pos[-1]
+        # cast in place: a second chunk-sized array per refill costs fresh
+        # pages, ~1 ms a trial at n = 1e6, p = 0.08
+        hits = pos[:inside].view(np.int64)
+        np.copyto(hits, pos[:inside], casting="unsafe")
+        out[hits] = True
         if inside < chunk:
             return
-        last = pos[-1]
 
 
 def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
@@ -143,24 +147,25 @@ def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    dense = np.zeros(n + 1, dtype=bool)
     if p >= 1.0:
-        dense[2:] = True
-    elif p > 0.0:
-        body = dense[2:]
-        _bernoulli_fill(body, min(p, 1.0 - p), _generator(seed))
-        if p > 0.5:
-            np.logical_not(body, out=body)
-    return IntegerSubset.from_dense(Interval(2, n), dense)
+        ind = np.ones(n - 1, dtype=bool)
+    else:
+        ind = np.zeros(n - 1, dtype=bool)
+        if p > 0.0:
+            _bernoulli_fill(ind, min(p, 1.0 - p), _generator(seed))
+            if p > 0.5:
+                np.logical_not(ind, out=ind)
+    return IntegerSubset._adopt(Interval(2, n), ind)
 
 
 def contains_product_triple(A: IntegerSubset) -> bool:
     """True iff some a, b in A (possibly equal) have ab in A.
 
-    Reads the product rows b in [a, n/a] of the dense indicator, n = the
-    carrier's upper end, and stops at the first row with a hit.
+    Reads the product rows b in [a, n/a] of A's own indicator in place,
+    n = the carrier's upper end, and stops at the first row with a hit.
     """
-    rows = _mono_rows(A.dense().view(np.int8), A.interval.hi, TripleSystem.PRODUCT)
+    iv = A.interval
+    rows = _mono_rows(A._ind.view(np.int8), iv.hi, TripleSystem.PRODUCT, iv.lo)
     return any(mask.any() for _, _, mask in rows)
 
 
@@ -194,13 +199,30 @@ def product_set_count(A: IntegerSubset, n: int) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _chunk(args: tuple[Optional[np.ndarray], int, float, Sequence[int]]) -> int:
-    """Successes among the trials keyed by `seeds`; no blocker if None."""
-    blocker_dense, n, p, seeds = args
-    if blocker_dense is None:
-        return sum(contains_product_triple(sample_random_subset(n, p, s)) for s in seeds)
-    blocker = IntegerSubset.from_dense(Interval(2, n), blocker_dense)
-    return sum(perturbed_trial(blocker, n, p, s) for s in seeds)
+_PHASES = ("sample_s", "union_s", "detect_s")
+
+
+def _chunk(args: tuple[Optional[IntegerSubset], int, float, Sequence[int]]
+           ) -> tuple[int, float, float, float]:
+    """Successes among the trials keyed by `seeds`, then the seconds spent
+    in each of `_PHASES`: sampling, uniting with the blocker (none if
+    None) and detecting."""
+    blocker, n, p, seeds = args
+    clock = time.perf_counter
+    hits, spent = 0, [0.0, 0.0, 0.0]
+    for s in seeds:
+        t0 = clock()
+        A = sample_random_subset(n, p, s)
+        t1 = t2 = clock()
+        if blocker is not None:
+            A = blocker.union(A)
+            t2 = clock()
+        hits += contains_product_triple(A)
+        t3 = clock()
+        spent[0] += t1 - t0
+        spent[1] += t2 - t1
+        spent[2] += t3 - t2
+    return hits, *spent
 
 
 def _sweep(plan: SweepPlan, workers: Optional[int],
@@ -210,18 +232,23 @@ def _sweep(plan: SweepPlan, workers: Optional[int],
     workers = _resolve_workers(workers)
     serial = workers <= 1 or plan.trials < 2 * workers
     step = 1 if serial else workers
-    blocker_dense = None if blocker is None else blocker.dense()
+    if serial:
+        pool = nullcontext()
+    else:  # deferred: the import costs every CLI process ~20 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     records = []
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+    with pool:
         run = map if serial else pool.map
         for ci, c in enumerate(plan.multipliers):
             p, clamped = plan.probability(c)
             seeds = [derive_seed(plan.master_seed, ci, t) for t in range(plan.trials)]
-            jobs = [(blocker_dense, plan.n, p, seeds[i::step]) for i in range(step)]
+            jobs = [(blocker, plan.n, p, seeds[i::step]) for i in range(step)]
+            hits, *spent = map(sum, zip(*run(_chunk, jobs)))
             records.append(ExperimentRecord(
                 n=plan.n, p=p, seed=plan.master_seed, trials=plan.trials,
-                successes=sum(run(_chunk, jobs)),
-                extra={"c": c, "clamped": clamped, **extra}))
+                successes=hits, extra={"c": c, "clamped": clamped, **extra},
+                timings=dict(zip(_PHASES, spent))))
     return records
 
 

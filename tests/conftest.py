@@ -87,6 +87,14 @@ def brute_contains_product(members) -> bool:
     return False
 
 
+def brute_has_divisor_in(x: int, y: float, z: float) -> bool:
+    """Does x have a divisor d with y < d < z?  Trial division up to sqrt x."""
+    for d in range(1, math.isqrt(x) + 1):
+        if x % d == 0 and (y < d < z or y < x // d < z):
+            return True
+    return False
+
+
 def gap_walk_members(n: int, p: float, uniform) -> list:
     """[2, n]_p for 0 < p < 1 by the geometric-gap rule, one uniform at a time.
 

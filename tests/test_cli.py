@@ -1,12 +1,17 @@
 import json
+import os
 import platform
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodschur
 from prodschur import __version__, randomlab
 from prodschur.cli import (
     EXIT_GUARD,
@@ -336,6 +341,39 @@ class TestCommands:
                      "--alpha", "0.5226495409595402", "--out", str(out)])
         assert code == EXIT_OK
         assert "product_triple_free: True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv,csv_text", [
+        (["threshold", "--n", "2000", "--c", "0.3,3", "--trials", "10", "--seed", "11"],
+         "n,c,p,trials,successes,frequency\n"
+         "2000,0.3,0.012110336286501192,10,0,0.0\n"
+         "2000,3.0,0.12110336286501192,10,10,1.0\n"),
+        (["perturbed", "--n", "10000", "--c", "0.1,2", "--trials", "6", "--seed", "3"],
+         "n,c,p,trials,successes,frequency,alpha,beta_alpha,blocker_size\n"
+         "10000,0.1,0.004641588833612777,6,2,0.3333333333333333,"
+         "0.5226495409595402,0.16666666666666663,3483\n"
+         "10000,2.0,0.09283177667225555,6,6,1.0,"
+         "0.5226495409595402,0.16666666666666663,3483\n")],
+        ids=["threshold", "perturbed"])
+    def test_sweep_csv_pinned_and_manifest_timed(self, argv, csv_text, workers,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv("PRODSCHUR_WORKERS", workers)
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_text() == csv_text
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"sample_s", "union_s", "detect_s"}
+        assert all(t >= 0 for t in timings.values())
+        assert (timings["union_s"] > 0) == (argv[0] == "perturbed")
+
+    def test_start_up_leaves_the_process_pool_unimported(self):
+        code = ("import sys, prodschur.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(prodschur.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_threshold_csv_deterministic(self, tmp_path):
         args = ["threshold", "--n", "2000", "--c", "0.3,3", "--trials", "10",

@@ -13,10 +13,11 @@ from prodschur.core import (
     IntegerSubset,
     Interval,
     TripleSystem,
+    _mono_rows,
     has_mono_triple,
 )
 from prodschur.counting import count_monochromatic
-from prodschur.randomlab import contains_product_triple
+from prodschur.randomlab import contains_product_triple, sample_random_subset
 from conftest import (
     brute_contains_product,
     brute_first_mono,
@@ -85,6 +86,83 @@ class TestIntegerSubset:
         A = IntegerSubset.full(1, 4)
         with pytest.raises(ValueError):
             A._ind[0] = False
+
+    def test_handed_in_arrays_are_copied_built_ones_adopted_read_only(self):
+        iv = Interval(2, 9)
+        arr = np.zeros(len(iv), dtype=bool)
+        arr[[0, 3]] = True
+        A = IntegerSubset(iv, arr)
+        dense = np.zeros(10, dtype=bool)
+        dense[[2, 5]] = True
+        D = IntegerSubset.from_dense(iv, dense)
+        arr[:] = True
+        dense[:] = True
+        assert A.members().tolist() == D.members().tolist() == [2, 5]
+        assert arr.flags.writeable and dense.flags.writeable
+        sampled = sample_random_subset(100, 0.3, 4)
+        unioned = sampled.union(A)
+        for S in (A, D, sampled, unioned, IntegerSubset.full(3, 7),
+                  IntegerSubset.from_members(iv, [4])):
+            assert not S._ind.flags.writeable
+            with pytest.raises(ValueError):
+                S._ind[0] = True
+
+
+@st.composite
+def interval_pairs(draw):
+    """Two intervals in [1, 90] that overlap, nest or are disjoint, in either order."""
+    lo = draw(st.integers(1, 30))
+    hi = draw(st.integers(lo, lo + 30))
+    layout = draw(st.sampled_from(["overlapping", "nested", "disjoint"]))
+    if layout == "nested":
+        lo2 = draw(st.integers(lo, hi))
+        hi2 = draw(st.integers(lo2, hi))
+    elif layout == "overlapping":
+        lo2 = draw(st.integers(lo, hi))
+        hi2 = draw(st.integers(hi, hi + 30))
+    else:
+        lo2 = draw(st.integers(hi + 1, hi + 30))
+        hi2 = draw(st.integers(lo2, lo2 + 30))
+    pair = [Interval(lo, hi), Interval(lo2, hi2)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+class TestAdoptedIndicatorAgainstOracles:
+    """The in-place readers of an indicator against absolute arrays and oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(TripleSystem)), st.integers(1, 40), st.data())
+    def test_offset_rows_match_absolute_rows(self, system, lo, data):
+        hi = data.draw(st.integers(lo, 200), label="hi")
+        k = data.draw(st.integers(1, 3), label="k")
+        carried = data.draw(st.lists(st.integers(0, k), min_size=hi - lo + 1,
+                                     max_size=hi - lo + 1), label="colours")
+        col = np.zeros(hi + 1, dtype=np.int8)
+        col[lo:] = carried
+
+        def rows(*args):
+            return [(a, shift, mask.tolist()) for a, shift, mask in _mono_rows(*args)]
+
+        assert rows(col[lo:], hi, system, lo) == rows(col, hi, system)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_contains_product_triple_matches_oracle(self, lo, data):
+        hi = data.draw(st.integers(lo, 200), label="hi")
+        members = data.draw(st.sets(st.integers(lo, hi), max_size=30), label="members")
+        A = IntegerSubset.from_members(Interval(lo, hi), members)
+        assert contains_product_triple(A) == brute_contains_product(list(members))
+
+    @settings(max_examples=300, deadline=None)
+    @given(interval_pairs(), st.data())
+    def test_union_matches_set_union(self, intervals, data):
+        sets = [data.draw(st.sets(st.integers(iv.lo, iv.hi)), label="members")
+                for iv in intervals]
+        A, B = (IntegerSubset.from_members(iv, m) for iv, m in zip(intervals, sets))
+        U = A.union(B)
+        assert U.interval == Interval(min(iv.lo for iv in intervals),
+                                      max(iv.hi for iv in intervals))
+        assert U.members().tolist() == sorted(sets[0] | sets[1])
 
 
 class TestColouring:

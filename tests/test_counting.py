@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodschur import counting
 from prodschur.core import (
@@ -28,7 +30,7 @@ from prodschur.constructions import (
     mod5_colouring,
     verify_colouring_free,
 )
-from conftest import brute_min_mono, brute_mono_triples
+from conftest import brute_has_divisor_in, brute_min_mono, brute_mono_triples
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -538,19 +540,26 @@ class TestMultiplicationTable:
             multiplication_table_count(50, 5, 5)
 
     def test_oracle_random_instances(self, rng):
-        def has_divisor_in(x, y, z):
-            for d in range(1, math.isqrt(x) + 1):
-                if x % d == 0 and (y < d < z or y < x // d < z):
-                    return True
-            return False
-
         for _ in range(30):
             n = rng.randint(10, 2000)
             y = rng.uniform(1, math.sqrt(n) + 2)
             z = y + rng.uniform(0.5, n / 2)
             est = multiplication_table_count(n, y, z)
-            expected = sum(1 for x in range(1, n + 1) if has_divisor_in(x, y, z))
+            expected = sum(1 for x in range(1, n + 1) if brute_has_divisor_in(x, y, z))
             assert est.exact == expected, (n, y, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2000), st.data())
+    def test_indicator_matches_divisor_oracle(self, n, data):
+        """The sieve, which skips d already marked, against trial division."""
+        ends = st.one_of(st.integers(-3, n + 3).map(float),
+                         st.floats(-3.0, n + 3.0, allow_nan=False))
+        y = data.draw(ends, label="y")
+        z = data.draw(ends.filter(lambda z: z > y), label="z")
+        ind = divisors_in_interval_indicator(n, y, z)
+        assert len(ind) == n + 1 and not ind[0]
+        want = [x for x in range(1, n + 1) if brute_has_divisor_in(x, y, z)]
+        assert np.flatnonzero(ind).tolist() == want
 
     def test_whole_range_interval(self):
         for n in list(range(1, 120)) + [997, 10 ** 4]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 from unittest import mock
@@ -322,6 +323,27 @@ class TestPerturbedTrials:
         b = perturbed_sweep(n, alpha, (0.5, 2.0), trials=12, master_seed=9,
                             workers=2)
         assert a == b
+
+
+class TestSweepTimings:
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_phase_seconds_present_and_outside_equality(self, blocked):
+        def sweep(workers):
+            if blocked:
+                return perturbed_sweep(10 ** 4, alpha_for_rate(0.25), (0.5, 2.0),
+                                       trials=12, master_seed=9, workers=workers)
+            plan = SweepPlan(n=3000, multipliers=(0.5, 2.0), trials=12,
+                             master_seed=9)
+            return threshold_sweep(plan, workers=workers)
+
+        one, two = sweep(1), sweep(2)
+        assert one == two
+        for rec in one + two:
+            assert set(rec.timings) == {"sample_s", "union_s", "detect_s"}
+            assert all(t >= 0 for t in rec.timings.values())
+            assert rec.timings["sample_s"] > 0 and rec.timings["detect_s"] > 0
+            assert (rec.timings["union_s"] > 0) == blocked
+        assert dataclasses.replace(one[0], timings={}) == one[0]
 
 
 class TestSeedOutputContract:
