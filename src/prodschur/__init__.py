@@ -55,7 +55,6 @@ from .randomlab import (
     degree_structure,
     derive_seed,
     perturbed_sweep,
-    perturbed_trial,
     product_set_count,
     sample_random_subset,
     threshold_sweep,

@@ -285,34 +285,39 @@ class ExperimentRecord:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int = 0):
-    """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi.
+def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int = 0,
+               since: int = 0):
+    """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi, c > since.
 
     `col[i]` is the colour of lo + i (0 = absent), up to hi; lo = 0 means
     an absolute colour array (index = integer value), lo > 0 a carrier's
     own array read in place.  Walks a over the members in increasing
     order and yields
-    (a, shift, mask), where mask[j] says that a, b = a + j and c share
-    a's colour: c = ab for products, b in [a, hi // a]; c = a + b + shift
-    for the sum systems, with shift 0, or 0 then 1 for the double sum.
-    Rows with no admissible b are skipped.
+    (a, b, shift, mask), where mask[j] says that a, b + j and c share
+    a's colour: c = a(b + j) for products, with b + j <= hi // a;
+    c = a + b + j + shift for the sum systems, with shift 0, or 0 then 1
+    for the double sum.  b is the least partner >= a whose c exceeds
+    `since`, so a caller that has checked every c <= since reads only
+    the new triples.  Rows with no admissible partner are skipped.
     """
     if system is TripleSystem.PRODUCT:
         for i in np.flatnonzero(col[:max(math.isqrt(hi) + 1 - lo, 0)]):
             a = int(i) + lo
-            ca, b_hi = col[i], hi // a
-            yield a, 0, ((col[i:b_hi + 1 - lo] == ca)
-                         & (col[a * a - lo:a * b_hi + 1 - lo:a] == ca))
+            b, b_hi = max(a, since // a + 1), hi // a
+            if b <= b_hi:
+                ca = col[i]
+                yield a, b, 0, ((col[b - lo:b_hi + 1 - lo] == ca)
+                                & (col[a * b - lo:a * b_hi + 1 - lo:a] == ca))
         return
     shifts = (0, 1) if system is TripleSystem.DOUBLE_SUM else (0,)
     for i in np.flatnonzero(col[:max(hi // 2 + 1 - lo, 0)]):
         a = int(i) + lo
         ca = col[i]
         for shift in shifts:
-            b_hi = hi - a - shift
-            if b_hi >= a:
-                yield a, shift, ((col[i:b_hi + 1 - lo] == ca)
-                                 & (col[2 * a + shift - lo:hi + 1 - lo] == ca))
+            b, b_hi = max(a, since - a - shift + 1), hi - a - shift
+            if b <= b_hi:
+                yield a, b, shift, ((col[b - lo:b_hi + 1 - lo] == ca)
+                                    & (col[a + b + shift - lo:hi + 1 - lo] == ca))
 
 
 def has_mono_triple(colouring: Colouring, system: TripleSystem):
@@ -323,12 +328,12 @@ def has_mono_triple(colouring: Colouring, system: TripleSystem):
     """
     col = colouring.dense()
     best = None
-    for a, shift, mask in _mono_rows(col, colouring.ground.interval.hi, system):
+    for a, b, shift, mask in _mono_rows(col, colouring.ground.interval.hi, system):
         if best is not None and a != best[0]:
             break  # the first row with a hit holds the least (a, b)
         j = int(mask.argmax())
-        if mask[j] and (best is None or a + j < best[1]):  # ties keep shift 0
-            b = a + j
+        if mask[j] and (best is None or b + j < best[1]):  # ties keep shift 0
+            b += j
             c = a * b if system is TripleSystem.PRODUCT else a + b + shift
             best = (a, b, c, int(col[a]))
     return best

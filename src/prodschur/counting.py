@@ -118,10 +118,10 @@ def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
             return expected, []
     elif not collect:
         return sum(int(np.count_nonzero(mask))
-                   for _, _, mask in _mono_rows(col, hi, system)), []
+                   for *_, mask in _mono_rows(col, hi, system)), []
     parts = [np.empty((3, 0), dtype=np.int64)]
-    for a, shift, mask in _mono_rows(col, hi, system):
-        b = np.flatnonzero(mask) + a
+    for a, b0, shift, mask in _mono_rows(col, hi, system):
+        b = np.flatnonzero(mask) + b0
         if len(b):
             parts.append(np.stack([np.full_like(b, a), b,
                                    a * b if product else a + b + shift]))

@@ -5,6 +5,11 @@ stream keyed by a seed derived deterministically from
 (master_seed, multiplier index, trial index).  Trials are therefore
 independent, order-insensitive, and reproducible regardless of how many
 workers execute them; aggregation is plain success counting.
+
+A sweep trial draws its set prefix by prefix and stops at the first
+product triple whose largest member has been drawn.  It reads its Philox
+stream in the same order as `sample_random_subset`, so the sets, and the
+success counts, are those of drawing [2, n] whole and scanning it.
 """
 
 from __future__ import annotations
@@ -43,10 +48,24 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return h
 
 
-def _generator(seed: int, salt: int = _KEY_SALT) -> np.random.Generator:
-    """The Philox stream keyed by (seed, salt); every seeded draw starts here."""
-    key = np.array([seed & _MASK64, salt & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator(seed: int, salt: int = _KEY_SALT,
+               rng: Optional[np.random.Generator] = None) -> np.random.Generator:
+    """The Philox stream keyed by (seed, salt); every seeded draw starts here.
+
+    Re-keys `rng`, a generator made here before, in place: counter zero
+    and buffers empty, as `Philox(key=[seed, salt])` starts.  Setting the
+    state costs ~3 µs, building a Philox ~18 µs, so a caller that draws
+    many streams passes back the generator it got.
+    """
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))  # no OS entropy read
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero,
+                  "key": np.array([seed & _MASK64, salt & _MASK64], dtype=np.uint64)},
+        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -104,37 +123,49 @@ def _gap_chunk(size: int, q: float) -> int:
     return int(size * q + 6.0 * math.sqrt(size * q * (1.0 - q))) + 16
 
 
-def _bernoulli_fill(out: np.ndarray, q: float, rng: np.random.Generator) -> None:
-    """Set each entry of the bool array `out` independently with probability q.
+class _GapWalk:
+    """Sets each entry of the bool array `out` independently with
+    probability q, a prefix at a time.
 
     Walks from success to success by geometric gaps
     G = floor(log1p(-U) / log1p(-q)) + 1, for which P(G >= k) = (1-q)^(k-1)
     up to the 53-bit resolution of U, so it draws about len(out) * q
     uniforms instead of len(out).  U is read from `rng` in order, so the
-    set does not depend on the refill size.
+    set depends neither on the refill size nor on where the walk paused.
     """
-    size = len(out)
-    chunk = _gap_chunk(size, q)
-    log_keep = math.log1p(-q)
-    last = -1.0  # position of the previous success
-    while True:
-        pos = rng.random(chunk)
+
+    __slots__ = ("out", "q", "rng", "log_keep", "last")
+
+    def __init__(self, out: np.ndarray, q: float, rng: np.random.Generator):
+        self.out, self.q, self.rng = out, q, rng
+        self.log_keep = math.log1p(-q)
+        self.last = -1.0  # position of the previous success
+
+    def advance(self, target: int) -> int:
+        """Draw one refill sized to pass position `target`; return how long
+        a prefix of `out` is now final: every position below the last
+        success drawn, or all of `out` once a gap has passed its end.
+        With q = 0 nothing is drawn and any prefix is final."""
+        size = len(self.out)
+        if self.q == 0.0:
+            return min(target, size)
+        ahead = max(min(target, size) - 1 - int(self.last), 0)
+        pos = self.rng.random(_gap_chunk(ahead, self.q))
         np.negative(pos, out=pos)
         np.log1p(pos, out=pos)
-        pos /= log_keep
+        pos /= self.log_keep
         np.floor(pos, out=pos)
         pos += 1.0
-        pos[0] += last
+        pos[0] += self.last
         np.cumsum(pos, out=pos)  # float64 holds every position below 2^53 exactly
         inside = int(np.searchsorted(pos, size))
-        last = pos[-1]
+        self.last = pos[-1]
         # cast in place: a second chunk-sized array per refill costs fresh
         # pages, ~1 ms a trial at n = 1e6, p = 0.08
         hits = pos[:inside].view(np.int64)
         np.copyto(hits, pos[:inside], casting="unsafe")
-        out[hits] = True
-        if inside < chunk:
-            return
+        self.out[hits] = True
+        return size if self.last >= size else int(self.last)  # last may be inf
 
 
 def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
@@ -147,14 +178,14 @@ def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if p >= 1.0:
-        ind = np.ones(n - 1, dtype=bool)
-    else:
-        ind = np.zeros(n - 1, dtype=bool)
-        if p > 0.0:
-            _bernoulli_fill(ind, min(p, 1.0 - p), _generator(seed))
-            if p > 0.5:
-                np.logical_not(ind, out=ind)
+    ind = np.zeros(n - 1, dtype=bool)
+    q = min(p, 1.0 - p)
+    if q > 0.0:
+        walk = _GapWalk(ind, q, _generator(seed))
+        while walk.advance(n - 1) < n - 1:
+            pass
+    if p > 0.5:
+        np.logical_not(ind, out=ind)
     return IntegerSubset._adopt(Interval(2, n), ind)
 
 
@@ -166,7 +197,7 @@ def contains_product_triple(A: IntegerSubset) -> bool:
     """
     iv = A.interval
     rows = _mono_rows(A._ind.view(np.int8), iv.hi, TripleSystem.PRODUCT, iv.lo)
-    return any(mask.any() for _, _, mask in rows)
+    return any(mask.any() for *_, mask in rows)
 
 
 def two_copy_split(p: float) -> tuple[float, float]:
@@ -200,6 +231,55 @@ def product_set_count(A: IntegerSubset, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 _PHASES = ("sample_s", "union_s", "detect_s")
+_FIRST_PREFIX = 1024  # least prefix a trial draws before its first check
+_GROWTH = 8           # factor by which each later check's prefix grows
+
+
+def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
+           rng: np.random.Generator, spent: list[float]) -> bool:
+    """Does blocker ∪ [2, n]_p contain a product triple?
+
+    The sample is the one sample_random_subset draws from the stream
+    `rng` is keyed to.  It is drawn prefix by prefix, a growing one
+    each step; after each step the prefix that became final is made
+    exact (inverted when p > 1/2, the blocker ORed in) and only the
+    product triples whose largest member has just become final are
+    checked.  The first hit ends the trial; a triple inside a prefix is
+    one of the whole set and the last step reaches n, so the answer is
+    contains_product_triple(blocker ∪ sample).  Adds the seconds of each
+    of `_PHASES` to `spent`.
+    """
+    if blocker is not None and blocker.interval != Interval(2, n):
+        raise ValueError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
+    clock = time.perf_counter
+    size = n - 1
+    ind = np.zeros(size, dtype=bool)
+    col = ind.view(np.int8)
+    walk = _GapWalk(ind, min(p, 1.0 - p), rng)
+    done, target = 0, _FIRST_PREFIX
+    # ~p^3 m ln m / 2 triples have their largest member <= m: skip the
+    # checks at which not even one is expected
+    while target < size and p ** 3 * target * math.log(target) < 2.0:
+        target *= _GROWTH
+    while True:
+        t0 = clock()
+        final = walk.advance(target)
+        fresh = ind[done:final]
+        if p > 0.5:
+            np.logical_not(fresh, out=fresh)
+        t1 = t2 = clock()
+        if blocker is not None:
+            fresh |= blocker._ind[done:final]
+            t2 = clock()
+        rows = _mono_rows(col, final + 1, TripleSystem.PRODUCT, 2, since=done + 1)
+        hit = any(mask.any() for *_, mask in rows)
+        t3 = clock()
+        spent[0] += t1 - t0
+        spent[1] += t2 - t1
+        spent[2] += t3 - t2
+        if hit or final == size:
+            return hit
+        done, target = final, min(max(target, final) * _GROWTH, size)
 
 
 def _chunk(args: tuple[Optional[IntegerSubset], int, float, Sequence[int]]
@@ -208,20 +288,10 @@ def _chunk(args: tuple[Optional[IntegerSubset], int, float, Sequence[int]]
     in each of `_PHASES`: sampling, uniting with the blocker (none if
     None) and detecting."""
     blocker, n, p, seeds = args
-    clock = time.perf_counter
-    hits, spent = 0, [0.0, 0.0, 0.0]
+    hits, spent, rng = 0, [0.0, 0.0, 0.0], None
     for s in seeds:
-        t0 = clock()
-        A = sample_random_subset(n, p, s)
-        t1 = t2 = clock()
-        if blocker is not None:
-            A = blocker.union(A)
-            t2 = clock()
-        hits += contains_product_triple(A)
-        t3 = clock()
-        spent[0] += t1 - t0
-        spent[1] += t2 - t1
-        spent[2] += t3 - t2
+        rng = _generator(s, rng=rng)
+        hits += _trial(n, p, blocker, rng, spent)
     return hits, *spent
 
 
@@ -263,12 +333,6 @@ def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
     if plan.rule is not ProbabilityRule.RANDOM_THRESHOLD:
         raise ValueError("threshold_sweep needs a RANDOM_THRESHOLD plan")
     return _sweep(plan, workers, None, {})
-
-
-def perturbed_trial(C: IntegerSubset, n: int, p: float, seed: int) -> bool:
-    """Does C united with a fresh sample of [2,n]_p contain a product triple?"""
-    R = sample_random_subset(n, p, seed)
-    return contains_product_triple(C.union(R))
 
 
 def perturbed_sweep(n: int, alpha: float, multipliers: Sequence[float],

@@ -141,9 +141,33 @@ class TestAdoptedIndicatorAgainstOracles:
         col[lo:] = carried
 
         def rows(*args):
-            return [(a, shift, mask.tolist()) for a, shift, mask in _mono_rows(*args)]
+            return [(a, b, shift, mask.tolist())
+                    for a, b, shift, mask in _mono_rows(*args)]
 
         assert rows(col[lo:], hi, system, lo) == rows(col, hi, system)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(TripleSystem)), st.integers(1, 40), st.data())
+    def test_rows_since_list_only_the_larger_c(self, system, lo, data):
+        """The triples read from rows with `since` are those of the full rows
+        whose c exceeds it, in the same order."""
+        hi = data.draw(st.integers(lo, 200), label="hi")
+        since = data.draw(st.integers(0, hi + 1), label="since")
+        k = data.draw(st.integers(1, 2), label="k")
+        carried = data.draw(st.lists(st.integers(0, k), min_size=hi - lo + 1,
+                                     max_size=hi - lo + 1), label="colours")
+        col = np.array(carried, dtype=np.int8)
+
+        def triples(since):
+            out = []
+            for a, b, shift, mask in _mono_rows(col, hi, system, lo, since):
+                for y in (np.flatnonzero(mask) + b).tolist():
+                    out.append((a, y, a * y if system is PROD else a + y + shift))
+            return out
+
+        assert triples(since) == [t for t in triples(0) if t[2] > since]
+        colour_of = {lo + i: c for i, c in enumerate(carried) if c}
+        assert sorted(triples(0)) == sorted(brute_mono_triples(colour_of, system))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 40), st.data())

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from prodschur.randomlab import (
     degree_structure,
     derive_seed,
     perturbed_sweep,
-    perturbed_trial,
     product_set_count,
     sample_random_subset,
     threshold_sweep,
@@ -293,15 +293,101 @@ class TestThresholdSweep:
             SweepPlan(n=100, multipliers=(1.0, bad), trials=5, master_seed=0)
 
 
+def _trial(blocker, n, p, seed):
+    """One sweep trial: does blocker ∪ [2, n]_p contain a product triple?"""
+    return randomlab._trial(n, p, blocker, randomlab._generator(seed), [0.0] * 3)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("salt", [0x9E3779B97F4A7C15, 0])
+    def test_rekeyed_generator_draws_the_keyed_philox_stream(self, salt):
+        """A re-keyed generator reads the bytes of a fresh
+        Philox(key=[seed, salt]), whatever was drawn from it before."""
+        rng = None
+        for seed in (0, 1, 7, 2 ** 63 + 5, 2 ** 64 - 1):
+            rng = randomlab._generator(seed, salt, rng)
+            key = np.array([seed, salt], dtype=np.uint64)  # a list goes via float64
+            want = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(rng.random(9), want.random(9))
+            # odd uint32 draws leave a half-used word buffered
+            assert np.array_equal(rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                                  want.integers(0, 2 ** 32, 3, dtype=np.uint32))
+            assert np.array_equal(rng.choice(50, 7, replace=False),
+                                  want.choice(50, 7, replace=False))
+
+
+class TestEarlyExitTrial:
+    """The sweep trial stops at the first product triple it can prove; it
+    must answer as the full sample, united with the blocker, does."""
+
+    PS = (0.0, 1e-4, 0.01, 0.2, 0.5, math.nextafter(0.5, 1.0), 0.8, 0.999, 1.0)
+
+    @staticmethod
+    def _blocker(n, members):
+        return None if members is None else IntegerSubset.from_members(
+            Interval(2, n), [m for m in members if m <= n])
+
+    @staticmethod
+    def _reference(blocker, n, p, seed):
+        A = sample_random_subset(n, p, seed)
+        return contains_product_triple(A if blocker is None else blocker.union(A))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_smallest_carriers(self, n, p, blocked):
+        for seed in range(20):
+            blocker = self._blocker(n, [2, 3] if blocked else None)
+            got = _trial(blocker, n, p, seed)
+            want = self._reference(blocker, n, p, seed)
+            members = sample_random_subset(n, p, seed).members().tolist()
+            members = sorted(set(members) | ({2, 3} if blocked else set()))
+            assert got == want == brute_contains_product([m for m in members if m <= n])
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 3000), p=st.one_of(st.sampled_from(PS), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2 ** 64 - 1),
+           blocker=st.one_of(st.none(), st.sets(st.integers(2, 3000), max_size=12)),
+           one_gap=st.booleans())
+    def test_agrees_with_full_sample(self, n, p, seed, blocker, one_gap):
+        """With one_gap, each refill draws one uniform, so a check falls
+        after every gap."""
+        blocker = self._blocker(n, blocker)
+        want = self._reference(blocker, n, p, seed)
+        if n <= 300:
+            members = set(sample_random_subset(n, p, seed).members().tolist())
+            if blocker is not None:
+                members |= set(blocker.members().tolist())
+            assert want == brute_contains_product(members)
+        with mock.patch.object(randomlab, "_gap_chunk",
+                               (lambda size, q: 1) if one_gap else randomlab._gap_chunk):
+            assert _trial(blocker, n, p, seed) == want
+
+    def test_stops_reading_at_the_first_triple(self):
+        """At n = 1e6, p = 1/2 a triple lies in the first prefix, so the
+        trial reads a few hundred uniforms, not half a million."""
+        rng = randomlab._generator(3)
+        assert randomlab._trial(10 ** 6, 0.5, None, rng, [0.0] * 3) is True
+        words = 4 * int(rng.bit_generator.state["state"]["counter"][0])
+        assert 0 < words < 2000  # one 64-bit word per uniform
+
+    def test_blocker_on_another_carrier_is_refused(self):
+        C = IntegerSubset.from_members(Interval(1, 20), [2, 3, 6])
+        with pytest.raises(ValueError, match=r"carried on \[2, 20\]"):
+            _trial(C, 20, 0.0, 1)
+        with pytest.raises(ValueError, match=r"carried on \[2, 30\]"):
+            _trial(C, 30, 0.1, 1)
+
+
 class TestPerturbedTrials:
     def test_triple_bearing_set_at_p_zero(self):
         C = IntegerSubset.from_members(Interval(2, 20), [2, 3, 6])
-        assert perturbed_trial(C, 20, 0.0, 1) is True
+        assert _trial(C, 20, 0.0, 1) is True
 
     def test_blocker_at_p_zero(self):
         n = 10 ** 4
         C = perturbed_blocker_set(n, 0.5, beta_override=0.12)
-        assert perturbed_trial(C, n, 0.0, 1) is False
+        assert _trial(C, n, 0.0, 1) is False
 
     def test_sweep_records_annotations(self):
         n = 10 ** 4
@@ -344,6 +430,26 @@ class TestSweepTimings:
             assert rec.timings["sample_s"] > 0 and rec.timings["detect_s"] > 0
             assert (rec.timings["union_s"] > 0) == blocked
         assert dataclasses.replace(one[0], timings={}) == one[0]
+
+    @pytest.mark.parametrize("p", [0.05, 0.7, 1.0])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_each_phase_sums_over_the_prefix_steps(self, p, blocked, monkeypatch):
+        """A clock that ticks once per reading: every prefix step adds one
+        tick to sample_s and to detect_s, and one to union_s only when
+        there is a blocker."""
+        ticks = iter(range(10 ** 9))
+        monkeypatch.setattr(randomlab, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(randomlab, "_gap_chunk", lambda size, q: 1)
+        steps = []
+        advance = randomlab._GapWalk.advance
+        monkeypatch.setattr(randomlab._GapWalk, "advance",
+                            lambda walk, target: steps.append(target) or advance(walk, target))
+        n = 3000
+        blocker = perturbed_blocker_set(n, alpha_for_rate(0.25)) if blocked else None
+        hits, *spent = randomlab._chunk((blocker, n, p, [derive_seed(4, t) for t in range(6)]))
+        assert len(steps) >= 6  # one step per trial at p = 1, one per gap below
+        assert spent == [len(steps), len(steps) if blocked else 0.0, len(steps)]
 
 
 class TestSeedOutputContract:
