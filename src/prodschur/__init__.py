@@ -55,10 +55,8 @@ from .randomlab import (
     degree_structure,
     derive_seed,
     perturbed_sweep,
-    product_set_count,
     sample_random_subset,
     threshold_sweep,
-    two_copy_split,
 )
 
 __version__ = "0.2.0"

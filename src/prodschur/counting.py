@@ -1,5 +1,6 @@
-"""Exact counting for triples, divisors and table problems, and the exact
-minimum of monochromatic triples by branch-and-bound.
+"""Exact counting for triples, divisors and table problems, and one
+branch-and-bound for the least number of monochromatic triples and for
+the largest subset with a good colouring.
 
 Counting conventions matter here: the census of product triples counts
 unordered pairs a <= b (split into off-diagonal a < b and diagonal
@@ -142,10 +143,71 @@ def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
     return count
 
 
-# The exact minimum recurses once per member, so the cap keeps its depth far
+# The branch-and-bound recurses once per member, so the cap keeps its depth far
 # below the interpreter's limit; at ~1-1.5 us per node the budget is ~10-15 s.
 _MONO_MAX_MEMBERS = 200
 _MONO_NODE_BUDGET = 10 ** 7
+
+
+def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
+                      ) -> tuple[int, list[int]]:
+    """Least-cost colour sequence of the ground, by depth-first branch-and-bound.
+
+    Ground is [1,n] for the sum systems and [2,n] for products.  Members
+    are coloured in increasing order with canonical colours (colour c + 1
+    only after colour c); colour c on x closes the listed pairs (a, b),
+    a <= b < x, already coloured c.  The cost is the number of closed
+    triples, or with `leave_out`, the number of members left out: a
+    colour that closes a triple is barred, and leaving x out is tried
+    after every colour.  A left-out member takes the sentinel k, which
+    equals no colour, so no pair through it closes.  A child is pruned
+    once its cost reaches the best so far, so the first sequence in DFS
+    order to reach each new best is the least optimal one; it is returned
+    (0-based, k for "left out") with its cost.  Grounds beyond
+    _MONO_MAX_MEMBERS members are refused before any triple is listed,
+    and searches beyond _MONO_NODE_BUDGET nodes mid-way, both with
+    ResourceGuardError.
+    """
+    lo = 2 if system is TripleSystem.PRODUCT else 1
+    m = n - lo + 1
+    if m > _MONO_MAX_MEMBERS:
+        raise ResourceGuardError(f"{m} members is beyond the exact search's "
+                                 f"cap ({_MONO_MAX_MEMBERS})")
+    ones = np.zeros(n + 1, dtype=np.int8)
+    ones[lo:] = 1  # one colour class: every triple of the system in [lo, n]
+    _, triples = _mono_scan(ones, lo, n, system, collect=True)
+    closing = [[] for _ in range(m)]  # member index -> pairs (a, b) it closes
+    for a, b, c in triples:
+        closing[c - lo].append((a - lo, b - lo))
+    colour = [0] * m  # 0-based colours of the members placed so far
+    # best starts above any cost, so the first descent sets best_colour
+    best, best_colour, nodes = (m if leave_out else len(triples)) + 1, [], 0
+
+    def extend(i: int, used: int, count: int) -> None:
+        nonlocal best, best_colour, nodes
+        nodes += 1
+        if nodes > _MONO_NODE_BUDGET:
+            raise ResourceGuardError(f"exact search beyond its node budget "
+                                     f"({_MONO_NODE_BUDGET})")
+        if i == m:
+            best, best_colour = count, colour.copy()
+            return
+        cost = [0] * (k + 1)  # cost[k]: pairs of two left-out members
+        for ia, ib in closing[i]:
+            if colour[ia] == colour[ib]:
+                cost[colour[ia]] += 1
+        for c in range(min(used + 1, k)):
+            if leave_out and cost[c]:
+                continue
+            if count + cost[c] < best:
+                colour[i] = c
+                extend(i + 1, max(used, c + 1), count + cost[c])
+        if leave_out and count + 1 < best:
+            colour[i] = k
+            extend(i + 1, used, count + 1)
+
+    extend(0, 0, 0)
+    return best, best_colour
 
 
 def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
@@ -155,60 +217,22 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     Ground is [1,n] for the sum systems and [2,n] for products.  The
     minimiser returned is the lexicographically least colour sequence
     (colours of the ground elements in increasing order) attaining the
-    minimum.  k = 1 is answered by one count for any n.  Larger k runs a
-    depth-first branch-and-bound: members are coloured in increasing
-    order with canonical colours (colour c + 1 only after colour c), and
-    a member x given colour c adds the triples it closes, the listed
-    pairs (a, b), a <= b < x, with a, b already coloured c.  A child is
-    pruned once its count reaches the best complete count so far, so the
-    first colouring in DFS order to reach each new best is the least
-    minimiser, and a zero ends the search.  Grounds beyond
-    _MONO_MAX_MEMBERS members are refused before any triple is listed,
-    and a search beyond _MONO_NODE_BUDGET nodes is refused mid-way, both
-    with ResourceGuardError.
+    minimum, the tie-break `max_non_schur_subset` shares.  k = 1 is
+    answered by one count for any n.  Larger k runs `_branch_and_bound`,
+    whose guards raise ResourceGuardError.
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    m = n - lo + 1
-    ones = np.zeros(n + 1, dtype=np.int8)
-    ones[lo:] = 1  # one colour class: every triple of the system in [lo, n]
     ground = IntegerSubset.full(lo, n)
     if k == 1:
+        ones = np.zeros(n + 1, dtype=np.int8)
+        ones[lo:] = 1
         count, _ = _mono_scan(ones, lo, n, system, collect=False)
         return count, Colouring(ground, 1, ones[lo:])
-    if m > _MONO_MAX_MEMBERS:
-        raise ResourceGuardError(f"{m} members is beyond the exact minimum's "
-                                 f"cap ({_MONO_MAX_MEMBERS})")
-    _, triples = _mono_scan(ones, lo, n, system, collect=True)
-    closing = [[] for _ in range(m)]  # member index -> pairs (a, b) it closes
-    for a, b, c in triples:
-        closing[c - lo].append((a - lo, b - lo))
-    colour = [0] * m  # 0-based colours of the members coloured so far
-    # best starts above any count, so the first descent sets best_colour
-    best, best_colour, nodes = len(triples) + 1, None, 0
-
-    def extend(i: int, used: int, count: int) -> None:
-        nonlocal best, best_colour, nodes
-        nodes += 1
-        if nodes > _MONO_NODE_BUDGET:
-            raise ResourceGuardError(f"exact minimum beyond its node budget "
-                                     f"({_MONO_NODE_BUDGET})")
-        if i == m:
-            best, best_colour = count, colour.copy()
-            return
-        cost = [0] * k
-        for ia, ib in closing[i]:
-            if colour[ia] == colour[ib]:
-                cost[colour[ia]] += 1
-        for c in range(min(used + 1, k)):
-            if count + cost[c] < best:
-                colour[i] = c
-                extend(i + 1, max(used, c + 1), count + cost[c])
-
-    extend(0, 0, 0)
+    best, best_colour = _branch_and_bound(n, k, system, leave_out=False)
     return best, Colouring(ground, k, np.array(best_colour) + 1)
 
 

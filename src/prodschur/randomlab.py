@@ -134,11 +134,12 @@ class _GapWalk:
     set depends neither on the refill size nor on where the walk paused.
     """
 
-    __slots__ = ("out", "q", "rng", "log_keep", "last")
+    __slots__ = ("out", "q", "rng", "log_keep", "huge", "last")
 
     def __init__(self, out: np.ndarray, q: float, rng: np.random.Generator):
         self.out, self.q, self.rng = out, q, rng
         self.log_keep = math.log1p(-q)
+        self.huge = self.log_keep > -1e-300  # subnormal q: gaps may overflow to inf
         self.last = -1.0  # position of the previous success
 
     def advance(self, target: int) -> int:
@@ -153,11 +154,12 @@ class _GapWalk:
         pos = self.rng.random(_gap_chunk(ahead, self.q))
         np.negative(pos, out=pos)
         np.log1p(pos, out=pos)
-        pos /= self.log_keep
-        np.floor(pos, out=pos)
-        pos += 1.0
-        pos[0] += self.last
-        np.cumsum(pos, out=pos)  # float64 holds every position below 2^53 exactly
+        with np.errstate(over="ignore") if self.huge else nullcontext():
+            pos /= self.log_keep
+            np.floor(pos, out=pos)
+            pos += 1.0
+            pos[0] += self.last
+            np.cumsum(pos, out=pos)  # float64 holds every position below 2^53 exactly
         inside = int(np.searchsorted(pos, size))
         self.last = pos[-1]
         # cast in place: a second chunk-sized array per refill costs fresh
@@ -198,32 +200,6 @@ def contains_product_triple(A: IntegerSubset) -> bool:
     iv = A.interval
     rows = _mono_rows(A._ind.view(np.int8), iv.hi, TripleSystem.PRODUCT, iv.lo)
     return any(mask.any() for *_, mask in rows)
-
-
-def two_copy_split(p: float) -> tuple[float, float]:
-    """p1 = p2 with (1-p1)(1-p2) = 1-p: two sparser exposures of one set."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    half = 1.0 - math.sqrt(1.0 - p)
-    return half, half
-
-
-def product_set_count(A: IntegerSubset, n: int) -> int:
-    """|{ab <= n : a, b in A}| — distinct pairwise products, deduplicated."""
-    dense = A.dense(n)
-    hit = np.zeros(n + 1, dtype=bool)
-    r = math.isqrt(n)
-    small = np.flatnonzero(dense[:r + 1])
-    for a in small:
-        a = int(a)
-        if a < 1:
-            continue
-        b_hi = n // a
-        if b_hi < a:
-            continue
-        row = dense[a:b_hi + 1]
-        hit[a * a:a * b_hi + 1:a] |= row
-    return int(np.count_nonzero(hit))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
-Every query here runs one depth-first backtracking search, `_search`,
-over the colourings of an increasing member list.  Members are coloured
+Every query but `max_non_schur_subset` (the branch-and-bound of
+`counting`) runs one depth-first backtracking search, `_search`, over
+the colourings of an increasing member list.  Members are coloured
 in increasing order, and colour c keeps `forb[c]`, a bitmask of the
 positions it may no longer take: giving x colour c forbids c at a+x (and
 a+x+1 for the double-sum system) for every a already in class c,
@@ -47,7 +48,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -59,6 +59,7 @@ from .core import (
     TripleSystem,
     has_mono_triple,
 )
+from .counting import _branch_and_bound
 
 
 class SearchInconclusive(Exception):
@@ -350,27 +351,21 @@ def max_non_schur_subset(n: int, k: int, system: TripleSystem
                          ) -> tuple[int, IntegerSubset, Colouring]:
     """Largest subset of the ground interval that is not k-Schur.
 
-    Ground is [1,n] for the sum systems and [2,n] for products.  Subsets
-    of each size are tried in lexicographic order of their element tuple,
-    largest size first; the first that admits a good colouring wins,
-    which fixes the tie-break deterministically.
+    Ground is [1,n] for the sum systems and [2,n] for products.  Runs
+    `counting._branch_and_bound` with members left out at a cost of 1,
+    under its guards; the least colour sequence of the ground attaining
+    the optimum wins, "left out" after every colour, as the minimiser of
+    `min_monochromatic_bruteforce` does.
     """
     _check_search_args(k, None)
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
-    universe = list(range(lo, n + 1))
-    if len(universe) > 24:
-        raise ResourceGuardError(
-            f"subset search over 2^{len(universe)} subsets is infeasible; "
-            f"limit is ground size 24")
-    interval = Interval(lo, n)
-    for size in range(len(universe), 0, -1):
-        for subset in combinations(universe, size):
-            run = _search(subset, k, system)
-            if run.found is not None:
-                ground = IntegerSubset.from_members(interval, subset)
-                return size, ground, _colouring(ground, k, subset, run.found)
-    # even the empty set is vacuously good, but sizes >= 1 always succeed
-    # for singletons under the sum systems; reaching here means n < lo
-    raise RuntimeError("unreachable: singleton subsets admit good colourings")
+    left_out, assign = _branch_and_bound(n, k, system, leave_out=True)
+    kept = {x: c + 1 for x, c in enumerate(assign, lo) if c < k}
+    ground = IntegerSubset.from_members(Interval(lo, n), list(kept))
+    colouring = Colouring.from_map(ground, k, kept)
+    check = has_mono_triple(colouring, system)
+    if check is not None:
+        raise RuntimeError(f"internal error: witness fails re-check with {check}")
+    return n - lo + 1 - left_out, ground, colouring

@@ -72,6 +72,33 @@ def brute_min_mono(members, k, system) -> tuple:
     return best, best_assign
 
 
+def brute_max_good_subset(members, k, system) -> tuple:
+    """(largest good size, {member: colour} of its kept members).
+
+    Walks every sequence over the symbols 1..k, then k + 1 for "left
+    out", in lexicographic order, keeps the canonical ones (colour c + 1
+    only after colour c) and returns the first with the fewest left out
+    whose kept members have no monochromatic triple."""
+    members = sorted(members)
+    best_out, best = len(members) + 1, None
+    for assign in iter_product(range(1, k + 2), repeat=len(members)):
+        top = 0
+        canonical = True
+        for a in assign:
+            if a <= k:
+                if a > top + 1:
+                    canonical = False
+                    break
+                top = max(top, a)
+        out = assign.count(k + 1)
+        if not canonical or out >= best_out:
+            continue
+        kept = {m: a for m, a in zip(members, assign) if a <= k}
+        if not brute_mono_triples(kept, system):
+            best_out, best = out, kept
+    return len(members) - best_out, best
+
+
 def class_map(classes) -> dict:
     """{member: colour} with class i (0-based) coloured i + 1."""
     return {m: i + 1 for i, members in enumerate(classes) for m in members}

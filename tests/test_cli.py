@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodschur
-from prodschur import __version__, randomlab
+from prodschur import __version__, cli, randomlab
 from prodschur.cli import (
     EXIT_GUARD,
     EXIT_INCONCLUSIVE,
@@ -25,6 +25,7 @@ from prodschur.cli import (
 )
 from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
 from prodschur.constructions import mod5_colouring, verify_colouring_free
+from conftest import brute_mono_triples
 
 
 def reference_text(lo, hi, k, colour_of):
@@ -315,6 +316,24 @@ class TestCommands:
         assert set(timings) == {"build_s", "verify_s", "serialise_s"}
         assert all(t >= 0 for t in timings.values())
         assert sum(timings.values()) <= manifest["wall_time_s"] + 0.002
+
+    @pytest.mark.parametrize("name,builder,system", [
+        ("mod5", "mod5_colouring", TripleSystem.SUM),
+        ("log-product", "product_free_colouring", TripleSystem.PRODUCT)])
+    def test_construct_reports_violation_count(self, name, builder, system,
+                                               monkeypatch, capsys):
+        """A violating build reports how many triples it has, as the
+        listing would, in the same report text."""
+        bad = Colouring(IntegerSubset.full(10, 200), 1, np.ones(191, dtype=np.int64))
+        if name == "mod5":
+            monkeypatch.setattr(cli, builder, lambda n: (None, bad))
+        else:
+            monkeypatch.setattr(cli, builder, lambda k, n: bad)
+        argv = ["construct", "--name", name, "--n", "200"]
+        assert main(argv + (["--k", "2"] if name == "log-product" else [])) == EXIT_OK
+        count = len(brute_mono_triples({m: 1 for m in range(10, 201)}, system))
+        assert count > 0
+        assert f"violations: {count}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--n", "500", "--c", "1,4", "--trials", "3", "--seed", "2"],

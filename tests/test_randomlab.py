@@ -20,10 +20,8 @@ from prodschur.randomlab import (
     degree_structure,
     derive_seed,
     perturbed_sweep,
-    product_set_count,
     sample_random_subset,
     threshold_sweep,
-    two_copy_split,
 )
 from conftest import binomial_moments, brute_contains_product, gap_walk_members
 
@@ -196,46 +194,6 @@ class TestContainsProductTriple:
         assert contains_product_triple(A) is True  # (1,1,1)
 
 
-class TestTwoCopySplit:
-    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 0.5, 0.99, 1.0])
-    def test_identity_to_machine_precision(self, p):
-        p1, p2 = two_copy_split(p)
-        assert p1 == p2
-        assert (1 - p1) * (1 - p2) == pytest.approx(1 - p, abs=1e-15)
-
-    def test_values(self):
-        assert two_copy_split(0.0) == (0.0, 0.0)
-        assert two_copy_split(0.5)[0] == pytest.approx(0.29289321881, abs=1e-9)
-        p1, _ = two_copy_split(0.01)
-        assert abs(p1 - 0.005) / 0.005 < 0.01  # within 1% of p/2
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            two_copy_split(1.5)
-
-
-class TestProductSetCount:
-    def test_examples(self):
-        iv = Interval(2, 10)
-        assert product_set_count(IntegerSubset.from_members(iv, [2, 3]), 10) == 3
-        assert product_set_count(IntegerSubset.from_members(iv, []), 10) == 0
-
-    def test_full_small_part_oracle(self):
-        n = 100
-        A = IntegerSubset.full(2, 10)
-        expected = len({a * b for a in range(2, 11) for b in range(2, 11)
-                        if a * b <= n})
-        assert product_set_count(A, n) == expected
-
-    def test_random_oracle(self, rng):
-        n = 150
-        for _ in range(40):
-            members = rng.sample(range(2, n + 1), rng.randint(0, 30))
-            A = IntegerSubset.from_members(Interval(2, n), members)
-            expected = len({a * b for a in members for b in members if a * b <= n})
-            assert product_set_count(A, n) == expected
-
-
 class TestThresholdSweep:
     def _plan(self, **kw):
         defaults = dict(n=3000, multipliers=(0.2, 2.0, 8.0), trials=30,
@@ -362,6 +320,16 @@ class TestEarlyExitTrial:
         with mock.patch.object(randomlab, "_gap_chunk",
                                (lambda size, q: 1) if one_gap else randomlab._gap_chunk):
             assert _trial(blocker, n, p, seed) == want
+
+    @pytest.mark.parametrize("p", [5e-324, 1.1125369292536007e-308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_p_draws_without_warning(self, p):
+        """A subnormal p sends the gaps past the float range; they become
+        inf without a RuntimeWarning, and nothing is drawn (but for U = 0,
+        at odds of 2^-53)."""
+        for seed in range(20):
+            assert sample_random_subset(3000, p, seed).cardinality() == 0
+            assert _trial(None, 3000, p, seed) is False
 
     def test_stops_reading_at_the_first_triple(self):
         """At n = 1e6, p = 1/2 a triple lies in the first prefix, so the
@@ -536,7 +504,7 @@ class TestFirstMomentAndCollisions:
         """
         n = 10 ** 6
         p = math.log(n) * (n * math.log(n)) ** (-1 / 3)
-        p1, _ = two_copy_split(p)
+        p1 = 1 - math.sqrt(1 - p)  # (1 - p1)^2 = 1 - p: one of two exposures
         r = math.isqrt(n)
         hits = 0
         seeds = 50

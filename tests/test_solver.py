@@ -29,7 +29,8 @@ from prodschur.solver import (
     _search,
 )
 import prodschur
-from conftest import brute_exists_good, brute_mono_triples
+from prodschur import counting
+from conftest import brute_exists_good, brute_max_good_subset, brute_mono_triples
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -407,9 +408,57 @@ class TestMaxNonSchurSubset:
         b = max_non_schur_subset(9, 1, PROD)
         assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
 
-    def test_guard(self):
-        with pytest.raises(ResourceGuardError):
+    def test_guard(self, monkeypatch):
+        """The branch-and-bound's member cap and node budget refuse, as they
+        do for the exact minimum."""
+        with pytest.raises(ResourceGuardError, match="members"):
+            max_non_schur_subset(counting._MONO_MAX_MEMBERS + 1, 1, SUM)
+        with pytest.raises(ResourceGuardError, match="members"):
+            max_non_schur_subset(counting._MONO_MAX_MEMBERS + 2, 2, PROD)
+        monkeypatch.setattr(counting, "_MONO_NODE_BUDGET", 10 ** 4)
+        with pytest.raises(ResourceGuardError, match="node budget"):
             max_non_schur_subset(40, 2, SUM)
+
+    def test_past_24_members(self):
+        """30 members, beyond the old subset enumeration: ceil(4n/5)."""
+        size, subset, colouring = max_non_schur_subset(30, 2, SUM)
+        assert size == 24 == subset.cardinality()
+        colour_of = {m: colouring.colour_of(m) for m in subset.members().tolist()}
+        assert brute_mono_triples(colour_of, SUM) == []
+
+    @pytest.mark.parametrize("k,most", [(1, 12), (2, 10), (3, 9)])
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_matches_oracle(self, system, k, most):
+        """Size, subset and colouring against the library-free oracle: the
+        least colour sequence, "left out" after every colour."""
+        lo = 2 if system is PROD else 1
+        for n in range(lo, lo + most):
+            want_size, want = brute_max_good_subset(range(lo, n + 1), k, system)
+            size, subset, colouring = max_non_schur_subset(n, k, system)
+            assert size == want_size, (n, k, system)
+            assert subset.members().tolist() == sorted(want), (n, k, system)
+            assert {m: colouring.colour_of(m) for m in want} == want, (n, k, system)
+
+    @pytest.mark.parametrize("n,k,system,size", [
+        (5, 2, SUM, 4), (6, 2, SUM, 5), (7, 2, SUM, 6), (10, 2, SUM, 8),
+        (11, 2, SUM, 9), (15, 2, SUM, 12), (14, 3, SUM, 13), (15, 3, SUM, 14),
+        (16, 3, SUM, 15), (17, 3, SUM, 16), (18, 3, SUM, 17)])
+    def test_witnesses_that_moved_with_the_tie_break(self, n, k, system, size):
+        """The cases whose witness changed when the least member tuple gave
+        way to the least colour sequence: sizes as before, re-certified."""
+        got, subset, colouring = max_non_schur_subset(n, k, system)
+        assert got == size
+        colour_of = {m: colouring.colour_of(m) for m in subset.members().tolist()}
+        assert len(colour_of) == size
+        assert brute_mono_triples(colour_of, system) == []
+
+    def test_witness_is_rechecked(self, monkeypatch):
+        """A kernel that returned a bad colouring would be an internal
+        error, not a result."""
+        monkeypatch.setattr(prodschur.solver, "_branch_and_bound",
+                            lambda n, k, system, leave_out: (0, [0] * n))
+        with pytest.raises(RuntimeError, match="internal error"):
+            max_non_schur_subset(5, 2, SUM)
 
     @pytest.mark.parametrize("n,system,members,dense", [
         (12, SUM, [1, 2, 3, 4, 6, 7, 8, 9, 11, 12],
