@@ -9,7 +9,6 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
-    has_mono_triple,
 )
 from .solver import (
     SearchConfig,
@@ -26,7 +25,6 @@ from .constructions import (
     alpha_for_rate,
     divisor_interval_rate,
     eleven_interval_colouring,
-    erdos_ford_delta,
     integer_nth_root,
     log_partition_boundaries,
     max_non_schur_size_bounds,
@@ -43,6 +41,8 @@ from .counting import (
     count_product_triples,
     divisor_count_table,
     divisors_in_interval_indicator,
+    erdos_ford_delta,
+    has_mono_triple,
     max_divisor_count,
     min_monochromatic_bruteforce,
     multiplication_table_count,

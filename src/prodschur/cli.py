@@ -268,8 +268,7 @@ def _records_to_csv(records, extra_cols: tuple[str, ...] = ()) -> str:
 
 def _cmd_schur(args) -> int:
     system = TripleSystem.parse(args.system)
-    config = SearchConfig(k=args.k, system=system, max_n=args.max_n,
-                          node_limit=args.node_limit)
+    config = SearchConfig(k=args.k, max_n=args.max_n, node_limit=args.node_limit)
     t0 = time.perf_counter()
     outcome = schur_number(args.k, system, config)
     wall = time.perf_counter() - t0
@@ -371,17 +370,10 @@ def _cmd_count(args) -> int:
         print(f"ratio: {tc.total / ref:.4f}")
     elif what == "mono":
         system = TripleSystem.parse(args.system)
-        if args.name == "mod5":
-            _, colouring = mod5_colouring(args.n)
-        elif args.name == "eleven":
-            colouring = eleven_interval_colouring(args.n)
-        elif args.name == "log-product":
-            if args.k is None:
-                raise _UsageError("--k is required for log-product")
-            colouring = product_free_colouring(args.k, args.n)
-        else:
+        if args.name not in ("mod5", "eleven", "log-product"):
             raise _UsageError("--name must be one of mod5, eleven, log-product")
-        print(f"monochromatic: {count_monochromatic(colouring, system)}")
+        build, _, _ = _construction(args)
+        print(f"monochromatic: {count_monochromatic(build(), system)}")
     elif what == "divisors":
         if args.n < 3:  # the reference log n / log log n needs log log n > 0
             raise _UsageError(f"--n must be >= 3 for divisors, got {args.n}")

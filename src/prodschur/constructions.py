@@ -16,24 +16,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Colouring, IntegerSubset, Interval, TripleSystem, has_mono_triple
+from .core import Colouring, IntegerSubset, Interval, TripleSystem
 from . import counting
+from .counting import erdos_ford_delta, has_mono_triple
 
 # Exact small Schur numbers: least n such that every k-colouring of [n]
 # has a monochromatic a+b=c (plain), resp. a+b=c or a+b=c-1 (double).
 # Cross-checked against the exact solver in the test suite.
 KNOWN_SCHUR = {1: 2, 2: 5, 3: 14, 4: 45}
 KNOWN_DOUBLE_SUM_SCHUR = {1: 2, 2: 5, 3: 14, 4: 41}
-
-
-def erdos_ford_delta() -> float:
-    """The Erdos-Ford constant 1 - (1 + ln ln 2)/ln 2 = 0.086071...
-
-    Governs the density of integers with a divisor in a dyadic-type
-    interval; natural logarithms (the defining identity
-    (1 - delta) ln 2 = 1 + ln ln 2 pins the convention).
-    """
-    return 1.0 - (1.0 + math.log(math.log(2.0))) / math.log(2.0)
 
 
 def divisor_interval_rate(alpha: float) -> float:
@@ -225,16 +216,15 @@ def eleven_interval_colouring(n: int) -> Colouring:
     return Colouring(ground, 2, colours)
 
 
-def perturbed_blocker_set(n: int, alpha: float, *,
-                          beta_override: Optional[float] = None) -> IntegerSubset:
+def perturbed_blocker_set(n: int, alpha: float) -> IntegerSubset:
     """[ceil(n^(1-2b)), n] minus every integer with a divisor in (y, z).
 
     b = threshold_exponent_offset(alpha), y = n^(1/2-b), z = n^(1/2+b).
     Every member then factors only as (small <= y) * (large >= z), and
     pairwise products of members exceed n, so the set alone carries no
-    product triple.  `beta_override` is a test hook bypassing alpha.
+    product triple.
     """
-    beta = beta_override if beta_override is not None else threshold_exponent_offset(alpha)
+    beta = threshold_exponent_offset(alpha)
     npow = n ** beta
     if npow < math.sqrt(2.0):
         raise ValueError(

@@ -12,7 +12,9 @@ it; an array the library has just built is adopted without a copy
 (`IntegerSubset._adopt`).  Either way it is then read-only.  The row
 kernel `_mono_rows` reads a carrier's own array in place through its
 offset `lo`, so a Monte Carlo trial copies nothing between drawing a
-set and detecting a triple in it.
+set and detecting a triple in it.  Its readers live in `counting` (the
+count and listing of monochromatic triples, and `has_mono_triple`, the
+first of them) and `randomlab` (product-triple detection).
 """
 
 from __future__ import annotations
@@ -319,21 +321,3 @@ def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int = 0,
                 yield a, b, shift, ((col[b - lo:b_hi + 1 - lo] == ca)
                                     & (col[a + b + shift - lo:hi + 1 - lo] == ca))
 
-
-def has_mono_triple(colouring: Colouring, system: TripleSystem):
-    """First monochromatic triple of the system inside the ground set.
-
-    Returns (a, b, c, colour) with a <= b, lexicographically least by
-    (a, b) (and by c for the double-sum pair), or None.
-    """
-    col = colouring.dense()
-    best = None
-    for a, b, shift, mask in _mono_rows(col, colouring.ground.interval.hi, system):
-        if best is not None and a != best[0]:
-            break  # the first row with a hit holds the least (a, b)
-        j = int(mask.argmax())
-        if mask[j] and (best is None or b + j < best[1]):  # ties keep shift 0
-            b += j
-            c = a * b if system is TripleSystem.PRODUCT else a + b + shift
-            best = (a, b, c, int(col[a]))
-    return best

@@ -2,6 +2,11 @@
 branch-and-bound for the least number of monochromatic triples and for
 the largest subset with a good colouring.
 
+Monochromatic triples under a colouring have one listing, `_mono_scan`,
+read from the rows of `core._mono_rows`: `count_monochromatic` counts
+them, `constructions.verify_colouring_free` lists them, and
+`has_mono_triple` returns the first.
+
 Counting conventions matter here: the census of product triples counts
 unordered pairs a <= b (split into off-diagonal a < b and diagonal
 a = b), while the supersaturation count follows the ordered-pair
@@ -135,6 +140,25 @@ def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
     return len(violations), violations
 
 
+def has_mono_triple(colouring: Colouring, system: TripleSystem
+                    ) -> Optional[tuple[int, int, int, int]]:
+    """First monochromatic triple of the system inside the ground set.
+
+    Returns (a, b, c, colour) with a <= b, least by (a, b, c) (so c
+    before c + 1 in the double-sum system), or None.  It is the first
+    entry of the full listing, so a call pays for listing every triple;
+    the library calls it on witnesses and base colourings, whose grounds
+    are small.
+    """
+    iv = colouring.ground.interval
+    col = colouring.dense()
+    _, triples = _mono_scan(col, iv.lo, iv.hi, system, collect=True)
+    if not triples:
+        return None
+    a, b, c = triples[0]
+    return a, b, c, int(col[a])
+
+
 def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
     """Exact number of monochromatic triples (a <= b) inside the ground set."""
     iv = colouring.ground.interval
@@ -144,7 +168,8 @@ def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
 
 
 # The branch-and-bound recurses once per member, so the cap keeps its depth far
-# below the interpreter's limit; at ~1-1.5 us per node the budget is ~10-15 s.
+# below the interpreter's limit.  A node costs ~1.5 us for the minimum and ~2 us
+# with leave_out, so the budget is ~15 s and ~20 s of search respectively.
 _MONO_MAX_MEMBERS = 200
 _MONO_NODE_BUDGET = 10 ** 7
 
@@ -240,6 +265,16 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
 # divisor statistics and the multiplication-table quantity
 # ---------------------------------------------------------------------------
 
+def erdos_ford_delta() -> float:
+    """The Erdos-Ford constant 1 - (1 + ln ln 2)/ln 2 = 0.086071...
+
+    Governs the density of integers with a divisor in a dyadic-type
+    interval; natural logarithms (the defining identity
+    (1 - delta) ln 2 = 1 + ln ln 2 pins the convention).
+    """
+    return 1.0 - (1.0 + math.log(math.log(2.0))) / math.log(2.0)
+
+
 def divisor_count_table(n: int) -> np.ndarray:
     """tau(m) for every m in [1, n], via the paired-divisor sieve.
 
@@ -294,8 +329,6 @@ def multiplication_table_count(n: int, y: float, z: float) -> TableCountEstimate
     n * u^delta * (log(2/u))^(-3/2); the ratio exact/reference is the
     quantity whose stability across n echoes the shape theorem.
     """
-    from .constructions import erdos_ford_delta  # deferred: avoids a module cycle
-
     marked = divisors_in_interval_indicator(n, y, z)
     exact = int(np.count_nonzero(marked))
     preconditions = (n >= 10 ** 5 and 100 <= y <= z - 1

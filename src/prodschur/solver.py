@@ -8,10 +8,9 @@ positions it may no longer take: giving x colour c forbids c at a+x (and
 a+x+1 for the double-sum system) for every a already in class c,
 including a = x.  Under the sum systems that is one shift-or of the
 class bitmask; under the product system the increasing class list is
-walked, setting a*x until the first a*x > hi.  Symmetry breaking fixes
-the canonical colour order (colour c+1 may first appear only after
-colour c has), which is sound because colour classes are
-interchangeable.
+walked, setting a*x until the first a*x > hi.  Colours appear in
+canonical order (colour c+1 may first appear only after colour c has),
+which is sound because colour classes are interchangeable.
 
 The search is one loop over an explicit stack of per-depth lists (the
 colour given, the colours in play before it, and that colour's forbid
@@ -57,9 +56,8 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
-    has_mono_triple,
 )
-from .counting import _branch_and_bound
+from .counting import _branch_and_bound, has_mono_triple
 
 
 class SearchInconclusive(Exception):
@@ -74,12 +72,11 @@ class SearchInconclusive(Exception):
 
 @dataclass
 class SearchConfig:
-    """Knobs for the exact search."""
+    """Limits of one `schur_number` search: its colour count k, its
+    ceiling max_n (None: the k!e bound) and its node_limit (None: none)."""
 
     k: int
-    system: TripleSystem = TripleSystem.SUM
     max_n: Optional[int] = None
-    symmetry_breaking: bool = True
     node_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -101,8 +98,7 @@ class _Run(NamedTuple):
 
 
 def _search(members: Sequence[int], k: int, system: TripleSystem,
-            symmetry_breaking: bool = True, node_limit: Optional[int] = None,
-            frontier_mode: bool = False) -> _Run:
+            node_limit: Optional[int] = None, frontier_mode: bool = False) -> _Run:
     """Backtracking over the k-colourings of the increasing `members`.
 
     The search stops at the first complete good colouring, at the node
@@ -139,8 +135,7 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
     complete = True
     last = n - 1
     stop = 1 if frontier_mode else n      # dead-member window: members[d+1:stop]
-    d = c = 0
-    u = used[0] = 0 if symmetry_breaking else k   # free mode: always k
+    d = c = u = 0
     while True:
         x = members[d]
         bx = mbit[d]
@@ -260,8 +255,7 @@ def _colouring(ground: IntegerSubset, k: int, members: Sequence[int],
 
 
 def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
-                          *, symmetry_breaking: bool = True,
-                          node_limit: Optional[int] = None) -> Optional[Colouring]:
+                          *, node_limit: Optional[int] = None) -> Optional[Colouring]:
     """A k-colouring of `ground` with no monochromatic triple, or None.
 
     The search is complete: None certifies that no such colouring exists.
@@ -270,7 +264,7 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
     """
     _check_search_args(k, node_limit)
     members = ground.members().tolist()
-    run = _search(members, k, system, symmetry_breaking, node_limit)
+    run = _search(members, k, system, node_limit)
     if not run.complete:
         raise SearchInconclusive(run.nodes, run.deepest)
     if run.found is None:
@@ -293,9 +287,9 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
                          "is_k_schur/exists_good_colouring on [2,n] grounds "
                          "for the product system")
     if config is None:
-        config = SearchConfig(k=k, system=system)
-    if config.k != k or config.system is not system:
-        raise ValueError("config.k/config.system disagree with the call arguments")
+        config = SearchConfig(k=k)
+    if config.k != k:
+        raise ValueError("config.k disagrees with the call argument k")
     if k > 4 and config.max_n is None:
         raise ResourceGuardError(
             "k >= 5 is beyond desk scale; pass a SearchConfig with an explicit "
@@ -304,8 +298,7 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
 
     start = time.perf_counter()
     members = list(range(1, max_n + 1))
-    run = _search(members, k, system, config.symmetry_breaking, config.node_limit,
-                  frontier_mode=True)
+    run = _search(members, k, system, config.node_limit, frontier_mode=True)
     elapsed = time.perf_counter() - start
 
     deepest = run.deepest

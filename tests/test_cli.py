@@ -291,6 +291,17 @@ class TestCommands:
     def test_count_mono_requires_name(self, capsys):
         assert main(["count", "--what", "mono", "--n", "100"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,message", [
+        (["count", "--what", "mono", "--n", "100", "--name", "blocker"],
+         "--name must be one of"),
+        (["count", "--what", "mono", "--n", "100", "--name", "log-product"],
+         "--k is required"),
+        (["construct", "--name", "log-product", "--n", "100"], "--k is required"),
+    ])
+    def test_construction_usage_errors(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_count_mono_mod5(self, capsys):
         assert main(["count", "--what", "mono", "--n", "100",
                      "--name", "mod5"]) == EXIT_OK

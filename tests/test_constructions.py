@@ -10,7 +10,6 @@ from prodschur.constructions import (
     alpha_for_rate,
     divisor_interval_rate,
     eleven_interval_colouring,
-    erdos_ford_delta,
     integer_nth_root,
     log_partition_boundaries,
     max_non_schur_size_bounds,
@@ -21,7 +20,7 @@ from prodschur.constructions import (
     verify_colouring_free,
     _double_sum_base,
 )
-from prodschur.counting import count_monochromatic
+from prodschur.counting import count_monochromatic, erdos_ford_delta
 from prodschur.solver import schur_number
 from conftest import class_map
 
@@ -225,8 +224,11 @@ class TestElevenInterval:
 class TestPerturbedBlockerSet:
     def test_oracle_equality_with_forced_beta(self):
         """Trial-division filter over the full range reproduces the sieve."""
-        n, beta = 10 ** 4, 0.1
-        got = perturbed_blocker_set(n, 0.5, beta_override=beta)
+        n = 10 ** 4
+        alpha = alpha_for_rate(0.1 / (1 - 2 * 0.1))  # b = r / (1 + 2r) = 0.1
+        got = perturbed_blocker_set(n, alpha)
+        beta = threshold_exponent_offset(alpha)
+        assert beta == pytest.approx(0.1, abs=1e-12)
         y, z = n ** (0.5 - beta), n ** (0.5 + beta)
         lo = math.ceil(n ** (1 - 2 * beta))
 

@@ -14,9 +14,8 @@ from prodschur.core import (
     Interval,
     TripleSystem,
     _mono_rows,
-    has_mono_triple,
 )
-from prodschur.counting import count_monochromatic
+from prodschur.counting import count_monochromatic, has_mono_triple
 from prodschur.randomlab import contains_product_triple, sample_random_subset
 from conftest import (
     brute_contains_product,

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
-from prodschur.constructions import alpha_for_rate, perturbed_blocker_set
+from prodschur.constructions import (alpha_for_rate, perturbed_blocker_set,
+                                     threshold_exponent_offset)
 from prodschur.counting import count_monochromatic
 from prodschur import randomlab
 from prodschur.randomlab import (
@@ -354,7 +355,9 @@ class TestPerturbedTrials:
 
     def test_blocker_at_p_zero(self):
         n = 10 ** 4
-        C = perturbed_blocker_set(n, 0.5, beta_override=0.12)
+        alpha = alpha_for_rate(0.12 / (1 - 2 * 0.12))  # b = r / (1 + 2r) = 0.12
+        assert threshold_exponent_offset(alpha) == pytest.approx(0.12, abs=1e-12)
+        C = perturbed_blocker_set(n, alpha)
         assert _trial(C, n, 0.0, 1) is False
 
     def test_sweep_records_annotations(self):

@@ -11,13 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodschur.core import (
-    IntegerSubset,
-    Interval,
-    ResourceGuardError,
-    TripleSystem,
-    has_mono_triple,
-)
+from prodschur.core import IntegerSubset, Interval, ResourceGuardError, TripleSystem
+from prodschur.counting import has_mono_triple
 from prodschur.solver import (
     SearchConfig,
     SearchInconclusive,
@@ -26,6 +21,7 @@ from prodschur.solver import (
     max_non_schur_subset,
     schur_bounds,
     schur_number,
+    _Run,
     _search,
 )
 import prodschur
@@ -71,13 +67,6 @@ class TestExistsGoodColouring:
                 assert (got is not None) == expected
                 if got is not None:
                     assert has_mono_triple(got, system) is None
-
-    def test_symmetry_breaking_off_agrees(self):
-        for n in (4, 5, 6):
-            a = exists_good_colouring(IntegerSubset.full(1, n), 2, SUM)
-            b = exists_good_colouring(IntegerSubset.full(1, n), 2, SUM,
-                                      symmetry_breaking=False)
-            assert (a is None) == (b is None)
 
     def test_node_limit_is_loud(self):
         with pytest.raises(SearchInconclusive):
@@ -193,13 +182,11 @@ def brute_prefix_good(p, k, system):
 
 class TestAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
-    @given(grounds_and_k(), st.sampled_from(list(TripleSystem)), st.booleans())
-    def test_exists_good_colouring_matches_enumeration(self, ground_k, system,
-                                                       symmetry_breaking):
+    @given(grounds_and_k(), st.sampled_from(list(TripleSystem)))
+    def test_exists_good_colouring_matches_enumeration(self, ground_k, system):
         ground, k = ground_k
         members = [int(m) for m in ground.members()]
-        got = exists_good_colouring(ground, k, system,
-                                    symmetry_breaking=symmetry_breaking)
+        got = exists_good_colouring(ground, k, system)
         assert (got is not None) == brute_exists_good(members, k, system)
         if got is not None:
             assert got.ground == ground and got.k == k
@@ -208,17 +195,14 @@ class TestAgainstBruteForce:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 12),
-           st.sampled_from([SUM, DSUM]), st.booleans())
-    def test_frontier_matches_enumerated_prefix(self, k, m, system,
-                                                symmetry_breaking):
+           st.sampled_from([SUM, DSUM]))
+    def test_frontier_matches_enumerated_prefix(self, k, m, system):
         """The frontier search under a ceiling m reaches exactly the longest
         prefix of [1, m] that enumeration can colour."""
         prefix = 0
         while prefix < m and brute_prefix_good(prefix + 1, k, system):
             prefix += 1
-        cfg = SearchConfig(k=k, system=system, max_n=m,
-                           symmetry_breaking=symmetry_breaking)
-        out = schur_number(k, system, cfg)
+        out = schur_number(k, system, SearchConfig(k=k, max_n=m))
         assert out.lower_bound == prefix + 1
         assert out.conclusive == (prefix < m)
         colour_of = {i: out.witness.colour_of(i) for i in range(1, prefix + 1)}
@@ -238,14 +222,11 @@ class TestPinnedSearchOrder:
 
     S3_WITNESS = [1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1]
 
-    @pytest.mark.parametrize("system,symmetry_breaking,nodes,prunes,forced", [
-        (SUM, True, 95, 49, 133), (DSUM, True, 42, 18, 60),
-        (SUM, False, 367, 199, 615), (DSUM, False, 189, 88, 371),
+    @pytest.mark.parametrize("system,nodes,prunes,forced", [
+        (SUM, 95, 49, 133), (DSUM, 42, 18, 60),
     ])
-    def test_schur_number_k3(self, system, symmetry_breaking, nodes, prunes,
-                             forced):
-        cfg = SearchConfig(k=3, system=system, symmetry_breaking=symmetry_breaking)
-        out = schur_number(3, system, cfg)
+    def test_schur_number_k3(self, system, nodes, prunes, forced):
+        out = schur_number(3, system)
         assert out.value == 14
         assert (out.nodes_explored, out.prunes, out.forced) == (nodes, prunes, forced)
         assert out.witness.dense()[1:].tolist() == self.S3_WITNESS
@@ -265,8 +246,7 @@ class TestPinnedSearchOrder:
         assert (run.found is not None) == (deepest == len(members))
 
     def test_goal_search_colouring(self):
-        col = exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM,
-                                    symmetry_breaking=False)
+        col = exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM)
         assert col.dense()[1:].tolist() == self.S3_WITNESS
 
 
@@ -322,8 +302,7 @@ class TestSchurNumber:
         # the README and perfbench expect `schur --k 3 --node-limit 50` to
         # stay inconclusive, so the full search must need more nodes
         assert schur_number(3, SUM).nodes_explored > 50
-        cfg = SearchConfig(k=3, system=SUM, node_limit=50)
-        out = schur_number(3, SUM, cfg)
+        out = schur_number(3, SUM, SearchConfig(k=3, node_limit=50))
         assert not out.conclusive
         assert out.value is None
         assert out.nodes_explored == 50
@@ -338,8 +317,7 @@ class TestSchurNumber:
         assert out.lower_bound == 1 and out.witness is None
 
     def test_low_ceiling_gives_inconclusive_with_lower_bound(self):
-        cfg = SearchConfig(k=2, system=SUM, max_n=3)
-        out = schur_number(2, SUM, cfg)
+        out = schur_number(2, SUM, SearchConfig(k=2, max_n=3))
         assert not out.conclusive
         assert out.lower_bound == 4  # [3] is colourable, so the value exceeds 3
 
@@ -349,7 +327,15 @@ class TestSchurNumber:
 
     def test_config_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            schur_number(2, SUM, SearchConfig(k=3, system=SUM))
+            schur_number(2, SUM, SearchConfig(k=3))
+
+    def test_witness_is_rechecked(self, monkeypatch):
+        """A search that returned a bad witness would be an internal error,
+        not a result: 1 + 1 = 2 in one colour."""
+        monkeypatch.setattr(prodschur.solver, "_search",
+                            lambda *args, **kwargs: _Run(None, True, 1, 0, 0, 2, [0, 0]))
+        with pytest.raises(RuntimeError, match="internal error"):
+            schur_number(2, SUM)
 
     def test_k5_guarded(self):
         with pytest.raises(ResourceGuardError):
