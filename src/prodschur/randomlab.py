@@ -14,6 +14,7 @@ success counts, are those of drawing [2, n] whole and scanning it.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import time
@@ -212,7 +213,8 @@ _GROWTH = 8           # factor by which each later check's prefix grows
 
 
 def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
-           rng: np.random.Generator, spent: list[float]) -> bool:
+           rng: np.random.Generator, spent: list[float],
+           ind: Optional[np.ndarray] = None) -> bool:
     """Does blocker ∪ [2, n]_p contain a product triple?
 
     The sample is the one sample_random_subset draws from the stream
@@ -224,12 +226,16 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
     one of the whole set and the last step reaches n, so the answer is
     contains_product_triple(blocker ∪ sample).  Adds the seconds of each
     of `_PHASES` to `spent`.
+
+    Draws into `ind`, n - 1 bools all False, if given, else into a fresh
+    array; either way the array is all False again on return.
     """
     if blocker is not None and blocker.interval != Interval(2, n):
         raise ValueError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
     clock = time.perf_counter
     size = n - 1
-    ind = np.zeros(size, dtype=bool)
+    if ind is None:
+        ind = np.zeros(size, dtype=bool)
     col = ind.view(np.int8)
     walk = _GapWalk(ind, min(p, 1.0 - p), rng)
     done, target = 0, _FIRST_PREFIX
@@ -254,47 +260,83 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
         spent[1] += t2 - t1
         spent[2] += t3 - t2
         if hit or final == size:
-            return hit
+            break
         done, target = final, min(max(target, final) * _GROWTH, size)
+    # the walk set members up to its last success (past the end once a gap
+    # has left it), the steps rewrote [0, final)
+    ind[:size if walk.last >= size else max(final, int(walk.last) + 1)] = False
+    return hit
 
 
 def _chunk(args: tuple[Optional[IntegerSubset], int, float, Sequence[int]]
-           ) -> tuple[int, float, float, float]:
+           ) -> tuple[int, float, float, float, float]:
     """Successes among the trials keyed by `seeds`, then the seconds spent
     in each of `_PHASES`: sampling, uniting with the blocker (none if
-    None) and detecting."""
+    None) and detecting, then the CPU seconds of the whole chunk.  One
+    indicator serves every trial."""
     blocker, n, p, seeds = args
+    cpu0 = time.process_time()
     hits, spent, rng = 0, [0.0, 0.0, 0.0], None
+    ind = np.zeros(n - 1, dtype=bool)
     for s in seeds:
         rng = _generator(s, rng=rng)
-        hits += _trial(n, p, blocker, rng, spent)
-    return hits, *spent
+        hits += _trial(n, p, blocker, rng, spent, ind)
+    return hits, *spent, time.process_time() - cpu0
+
+
+_POOL = None  # (worker count, ProcessPoolExecutor): the one live pool, if any
+
+
+def _pooled(workers: int, jobs: list) -> list:
+    """`_chunk` of each job on the process's pool of `workers` workers.
+
+    The pool is made at the first call and reused while the count stays;
+    another count replaces it, and a pool that broke is dropped, so the
+    next call gets a fresh one."""
+    global _POOL
+    # deferred: the import costs every CLI process ~20 ms otherwise
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    if _POOL is None or _POOL[0] != workers:
+        _close_pool()
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_POOL[1].map(_chunk, jobs))
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the live pool down, its workers joined, and forget it; runs
+    at interpreter exit too, before module teardown."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(cancel_futures=True)
 
 
 def _sweep(plan: SweepPlan, workers: Optional[int],
            blocker: Optional[IntegerSubset], extra: dict) -> list[ExperimentRecord]:
     """One record per multiplier; trial t of multiplier ci uses
-    derive_seed(master, ci, t), split round-robin over one worker pool."""
+    derive_seed(master, ci, t).  The trials of every multiplier are split
+    round-robin into `workers` chunks each and queued on the live pool
+    at once."""
     workers = _resolve_workers(workers)
     serial = workers <= 1 or plan.trials < 2 * workers
     step = 1 if serial else workers
-    if serial:
-        pool = nullcontext()
-    else:  # deferred: the import costs every CLI process ~20 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+    probs = [plan.probability(c) for c in plan.multipliers]
+    jobs = [(blocker, plan.n, p,
+             [derive_seed(plan.master_seed, ci, t) for t in range(i, plan.trials, step)])
+            for ci, (p, _) in enumerate(probs) for i in range(step)]
+    sums = list(map(_chunk, jobs)) if serial else _pooled(workers, jobs)
     records = []
-    with pool:
-        run = map if serial else pool.map
-        for ci, c in enumerate(plan.multipliers):
-            p, clamped = plan.probability(c)
-            seeds = [derive_seed(plan.master_seed, ci, t) for t in range(plan.trials)]
-            jobs = [(blocker, plan.n, p, seeds[i::step]) for i in range(step)]
-            hits, *spent = map(sum, zip(*run(_chunk, jobs)))
-            records.append(ExperimentRecord(
-                n=plan.n, p=p, seed=plan.master_seed, trials=plan.trials,
-                successes=hits, extra={"c": c, "clamped": clamped, **extra},
-                timings=dict(zip(_PHASES, spent))))
+    for ci, (c, (p, clamped)) in enumerate(zip(plan.multipliers, probs)):
+        hits, *seconds = map(sum, zip(*sums[ci * step:(ci + 1) * step]))
+        records.append(ExperimentRecord(
+            n=plan.n, p=p, seed=plan.master_seed, trials=plan.trials,
+            successes=hits, extra={"c": c, "clamped": clamped, **extra},
+            timings=dict(zip(_PHASES + ("cpu_s",), seconds))))
     return records
 
 

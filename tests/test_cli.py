@@ -393,9 +393,10 @@ class TestCommands:
         assert out.read_text() == csv_text
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         timings = manifest["timings"]
-        assert set(timings) == {"sample_s", "union_s", "detect_s"}
+        assert set(timings) == {"sample_s", "union_s", "detect_s", "cpu_s"}
         assert all(t >= 0 for t in timings.values())
         assert (timings["union_s"] > 0) == (argv[0] == "perturbed")
+        assert timings["cpu_s"] > 0
 
     def test_start_up_leaves_the_process_pool_unimported(self):
         code = ("import sys, prodschur.cli; "

@@ -1,6 +1,13 @@
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
+from multiprocessing.connection import wait
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -348,6 +355,63 @@ class TestEarlyExitTrial:
             _trial(C, 30, 0.1, 1)
 
 
+class TestOneIndicatorPerChunk:
+    """A chunk draws every trial into one indicator, which each trial must
+    leave all False: a member left over would join the next trial's set."""
+
+    PS = TestEarlyExitTrial.PS
+
+    @staticmethod
+    def _run(n, blocker, run):
+        """Outcomes of `run`, (p, blocked, seed) triples, each trial drawn
+        into one shared indicator and checked against a fresh `_trial`;
+        `_chunk` over each trial's seed must count the same."""
+        ind = np.zeros(n - 1, dtype=bool)
+        real, cleared = randomlab._trial, []
+
+        def spy(*args):
+            hit = real(*args)
+            cleared.append(not args[-1].any())
+            return hit
+
+        outcomes = []
+        for p, blocked, seed in run:
+            C = blocker if blocked else None
+            hit = randomlab._trial(n, p, C, randomlab._generator(seed), [0.0] * 3, ind)
+            assert not ind.any()
+            assert hit == _trial(C, n, p, seed)
+            outcomes.append(hit)
+        with mock.patch.object(randomlab, "_trial", spy):
+            for p, blocked in dict.fromkeys((p, b) for p, b, _ in run):  # a chunk each
+                group = [(seed, hit) for (q, b, seed), hit in zip(run, outcomes)
+                         if (q, b) == (p, blocked)]
+                chunk = (blocker if blocked else None, n, p, [seed for seed, _ in group])
+                assert randomlab._chunk(chunk)[0] == sum(hit for _, hit in group)
+        assert len(cleared) == len(run) and all(cleared)
+        return outcomes
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 3000),
+           blocker=st.sets(st.integers(2, 3000), max_size=12),
+           run=st.lists(st.tuples(st.one_of(st.sampled_from(PS), st.floats(0.0, 1.0)),
+                                  st.booleans(), st.integers(0, 2 ** 64 - 1)),
+                         min_size=1, max_size=8))
+    def test_shared_indicator_gives_fresh_outcomes(self, n, blocker, run):
+        self._run(n, TestEarlyExitTrial._blocker(n, blocker), run)
+
+    def test_mixed_run_of_hits_and_misses(self):
+        """p below and above 1/2, 0 and 1, with and without a blocker,
+        interleaved so that a long walk precedes a short one."""
+        n = 3000
+        blocker = TestEarlyExitTrial._blocker(n, [2, 3, 5, 7])
+        run = [(p, blocked, derive_seed(6, i))
+               for i, (p, blocked) in enumerate(
+                   [(0.8, False), (1e-3, False), (1.0, True), (0.0, False),
+                    (0.0, True), (0.2, False), (0.999, True), (0.01, True),
+                    (1.0, False), (0.5, False), (1e-4, True)])]
+        assert set(self._run(n, blocker, run)) == {False, True}
+
+
 class TestPerturbedTrials:
     def test_triple_bearing_set_at_p_zero(self):
         C = IntegerSubset.from_members(Interval(2, 20), [2, 3, 6])
@@ -396,9 +460,10 @@ class TestSweepTimings:
         one, two = sweep(1), sweep(2)
         assert one == two
         for rec in one + two:
-            assert set(rec.timings) == {"sample_s", "union_s", "detect_s"}
+            assert set(rec.timings) == {"sample_s", "union_s", "detect_s", "cpu_s"}
             assert all(t >= 0 for t in rec.timings.values())
             assert rec.timings["sample_s"] > 0 and rec.timings["detect_s"] > 0
+            assert rec.timings["cpu_s"] > 0
             assert (rec.timings["union_s"] > 0) == blocked
         assert dataclasses.replace(one[0], timings={}) == one[0]
 
@@ -410,7 +475,8 @@ class TestSweepTimings:
         there is a blocker."""
         ticks = iter(range(10 ** 9))
         monkeypatch.setattr(randomlab, "time",
-                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks)),
+                                            process_time=lambda: 0.0))
         monkeypatch.setattr(randomlab, "_gap_chunk", lambda size, q: 1)
         steps = []
         advance = randomlab._GapWalk.advance
@@ -418,7 +484,8 @@ class TestSweepTimings:
                             lambda walk, target: steps.append(target) or advance(walk, target))
         n = 3000
         blocker = perturbed_blocker_set(n, alpha_for_rate(0.25)) if blocked else None
-        hits, *spent = randomlab._chunk((blocker, n, p, [derive_seed(4, t) for t in range(6)]))
+        hits, *spent, cpu = randomlab._chunk((blocker, n, p,
+                                              [derive_seed(4, t) for t in range(6)]))
         assert len(steps) >= 6  # one step per trial at p = 1, one per gap below
         assert spent == [len(steps), len(steps) if blocked else 0.0, len(steps)]
 
@@ -445,6 +512,86 @@ class TestSeedOutputContract:
                                   (0.5, 1.0, 2.0, 4.0), trials=24,
                                   master_seed=77, workers=workers)
         assert [r.successes for r in records] == [10, 19, 24, 24]
+
+
+class TestWorkerPool:
+    """One process pool per process: made at the first pooled sweep,
+    reused while the worker count stays, replaced when it changes or
+    breaks, shut down at exit."""
+
+    PLAN = SweepPlan(n=3000, multipliers=(0.5, 2.0), trials=12, master_seed=9)
+
+    @pytest.fixture(autouse=True)
+    def no_pool_around(self):
+        randomlab._close_pool()
+        yield
+        randomlab._close_pool()
+
+    @staticmethod
+    def _pids():
+        return set(randomlab._POOL[1]._processes)
+
+    @staticmethod
+    def _alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    def test_exit_joins_the_workers_quietly(self):
+        code = ("from prodschur import randomlab\n"
+                "from prodschur.randomlab import SweepPlan, threshold_sweep\n"
+                "plan = SweepPlan(n=3000, multipliers=(0.5, 2.0), trials=12, master_seed=9)\n"
+                "threshold_sweep(plan, workers=2)\n"
+                "print(*randomlab._POOL[1]._processes)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(randomlab.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        assert not any(self._alive(pid) for pid in pids)
+
+    def test_reused_while_the_count_stays(self):
+        first = threshold_sweep(self.PLAN, workers=2)
+        pool, pids = randomlab._POOL[1], self._pids()
+        assert threshold_sweep(self.PLAN, workers=2) == first
+        assert randomlab._POOL[1] is pool and self._pids() == pids
+        assert threshold_sweep(self.PLAN, workers=3) == first
+        assert randomlab._POOL[1] is not pool and len(self._pids()) == 3
+        assert not any(self._alive(pid) for pid in pids)
+
+    def test_broken_pool_is_replaced(self):
+        want = threshold_sweep(self.PLAN, workers=1)
+        assert threshold_sweep(self.PLAN, workers=2) == want
+        killed = min(self._pids())
+        os.kill(killed, signal.SIGKILL)
+        # let it die first: a worker still running could finish every chunk
+        # before the pool sees the loss, leaving it to break the sweep after
+        assert wait([randomlab._POOL[1]._processes[killed].sentinel], timeout=60)
+        try:
+            assert threshold_sweep(self.PLAN, workers=2) == want
+        except BrokenProcessPool:
+            assert randomlab._POOL is None
+        assert threshold_sweep(self.PLAN, workers=2) == want
+        assert killed not in self._pids()
+
+    def test_seed_contract_on_a_reused_pool(self):
+        n, alpha = 10 ** 4, alpha_for_rate(0.25)
+
+        def perturbed(workers):
+            return perturbed_sweep(n, alpha, (0.5, 2.0), trials=12, master_seed=9,
+                                   workers=workers)
+
+        first = threshold_sweep(self.PLAN, workers=2)
+        pool = randomlab._POOL[1]
+        assert perturbed(2) == perturbed(1)
+        assert threshold_sweep(self.PLAN, workers=2) == first
+        assert first == threshold_sweep(self.PLAN, workers=1)
+        assert randomlab._POOL[1] is pool
 
 
 class TestDegreeStructure:
