@@ -1,25 +1,29 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
-Every query but `max_non_schur_subset` (the branch-and-bound of
-`counting`) runs one depth-first backtracking search, `_search`, over
-the colourings of an increasing member list.  Members are coloured
-in increasing order, and colour c keeps `forb[c]`, a bitmask of the
-positions it may no longer take: giving x colour c forbids c at a+x (and
-a+x+1 for the double-sum system) for every a already in class c,
-including a = x.  Under the sum systems that is one shift-or of the
-class bitmask; under the product system the increasing class list is
-walked, setting a*x until the first a*x > hi.  Colours appear in
-canonical order (colour c+1 may first appear only after colour c has),
-which is sound because colour classes are interchangeable.
+Three searches answer the exact queries.  `schur_number` and the product
+system's goal queries (`exists_good_colouring`, `is_k_schur`) run
+`_search`, which colours an increasing member list in increasing order,
+as the prefix semantics of S(k) need.  The same goal queries under the
+sum systems run `_goal_search`, which colours the most constrained
+member first.  `max_non_schur_subset` runs the branch-and-bound of
+`counting`.  Both backtracking searches keep, for each colour c,
+`forb[c]`: a bitmask of the values c may no longer take.  Colours appear
+in canonical order (colour c+1 may first appear only after colour c
+has), which is sound because colour classes are interchangeable.  Each
+search is one loop over an explicit per-depth stack, so its depth is not
+bounded by the interpreter's recursion limit.
 
-The search is one loop over an explicit stack of per-depth lists (the
-colour given, the colours in play before it, and that colour's forbid
-word before it), so its depth is not bounded by the interpreter's
-recursion limit.  Once all k colours are in play, each child looks at a
-window of future members cut from `suffix`, where `suffix[i]` holds the
-bits of members[i:]: all of them in goal mode, those up to `stop` in
-frontier mode.  One bit-sliced pass over the k forbid words finds the
-window members with no colour left (dead) and those with one colour left
+`_search`: giving x colour c forbids c at a+x (and a+x+1 for the
+double-sum system) for every a already in class c, including a = x.
+Under the sum systems that is one shift-or of the class bitmask; under
+the product system the increasing class list is walked, setting a*x
+until the first a*x > hi.  The stack holds, per depth, the colour given,
+the colours in play before it, and that colour's forbid word before it.
+Once all k colours are in play, each child looks at a window of future
+members cut from `suffix`, where `suffix[i]` holds the bits of
+members[i:]: all of them in goal mode, those up to `stop` in frontier
+mode.  One bit-sliced pass over the k forbid words finds the window
+members with no colour left (dead) and those with one colour left
 (forced).  Under the sum systems a forced member y joins its class
 provisionally, which forbids s+y and |s-y| to that class for every s in
 it (also s+y+1 and |s-y|-1 for the double sum); |s-y| comes from a right
@@ -31,15 +35,31 @@ one that loses its colour in a later round is dead at the next pass.
 The provisional classes live in copies of the words made at that node,
 so backtracking restores only what an assignment changed.  The product
 system keeps the plain dead test: its differences would need
-divisibility.
-
-Propagation cuts only subtrees in which the window cannot be coloured
-well, and the nodes it keeps stay in depth-first order.  So the first
-complete good colouring is the one the plain dead test finds.  In
+divisibility.  Propagation cuts only subtrees in which the window cannot
+be coloured well, and the nodes it keeps stay in depth-first order.  In
 frontier mode the window ends at the member that would beat the deepest
 prefix so far, so every ancestor of the first colouring to reach a new
 depth survives: the deepest prefix, its first colouring and so every
 S(k) witness are kept.
+
+`_goal_search` (sum systems only): members join classes out of order, so
+inserting y in class c forbids c at every value that closes a triple
+with y and a member s of c on either side: s+y and |s-y| (also s+y+1 and
+|s-y|-1 for the double sum), computed as above, and y's half, since y
+may be a+a (or a+a+1 for the double sum).  A node gives one member a
+colour, then settles every free member with exactly one colour left in
+its class, as real assignments of that node, to a fixpoint.  A member
+with no colour left, or a forced member that an earlier one of the same
+round forbade, prunes the node.  The next branch is on the lowest free
+member among those with the fewest colours left (the DSatur rule of
+Brelaz, 1979), counted bit-sliced over the k forbid words, where a
+colour not yet in play counts as left.  The stack holds, per depth, the
+state its node left (forbid words, class masks, reversed masks, free
+members, colours in play), the member it branches on and the next colour
+to try; each child builds its own copies, so backtracking only steps
+back a depth.  The first good colouring it finds is deterministic, but
+where it lies in this order decides how soon it is found, and it need
+not be the lexicographically least.
 """
 
 from __future__ import annotations
@@ -61,11 +81,17 @@ from .counting import _branch_and_bound, has_mono_triple
 
 
 class SearchInconclusive(Exception):
-    """A node limit stopped a search before exhaustion."""
+    """A node limit stopped a search before exhaustion.
+
+    `deepest` is the most members coloured at one node: the longest good
+    prefix under the increasing order of `_search`, and under the sum
+    systems the members branched on or settled at a node that propagation
+    kept.
+    """
 
     def __init__(self, nodes_explored: int, deepest: int):
         super().__init__(f"search inconclusive after {nodes_explored} nodes "
-                         f"(deepest complete prefix: {deepest} elements)")
+                         f"(at most {deepest} members coloured at one node)")
         self.nodes_explored = nodes_explored
         self.deepest = deepest
 
@@ -86,15 +112,15 @@ class SearchConfig:
 
 
 class _Run(NamedTuple):
-    """What one `_search` did; colours in `found` and `best` are 0-based."""
+    """What one search did; colours in `found` and `best` are 0-based."""
 
     found: Optional[list[int]]   # a complete good colouring, or None
     complete: bool               # False when the node limit stopped the search
     nodes: int
     prunes: int                  # children cut by the dead-member test
     forced: int                  # members forced to their one colour left
-    deepest: int                 # length of the longest good prefix seen
-    best: list[int]              # the first colouring of that prefix
+    deepest: int                 # most members coloured at one node
+    best: list[int]              # `_search`: the first colouring of that prefix
 
 
 def _search(members: Sequence[int], k: int, system: TripleSystem,
@@ -242,6 +268,123 @@ def _search(members: Sequence[int], k: int, system: TripleSystem,
     return _Run(found, complete, nodes, prunes, forced, deepest, best)
 
 
+def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
+                 node_limit: Optional[int] = None) -> _Run:
+    """Goal search over the k-colourings of `members` under a sum system.
+
+    Each node colours the member with the fewest colours left (the lowest
+    one on a tie), then settles every free member left with one colour to
+    a fixpoint; a member with none prunes the node.  It stops at the first
+    good colouring of every member, at the node limit, or when the tree is
+    exhausted.  `deepest` is the most members coloured at a node that
+    propagation kept, and `best` stays empty.
+    """
+    n = len(members)
+    if not n:
+        return _Run([], True, 0, 0, 0, 0, [])
+    dsum = system is TripleSystem.DOUBLE_SUM
+    # y's half is barred from y's class: y = a + a for y even, and under
+    # the double sum y = a + a + 1 for y odd
+    parity = 0 if dsum else 1
+    colours = tuple(range(k))
+    hi = members[-1]
+    cap = math.inf if node_limit is None else node_limit
+    # per depth: the state its node left (forbid words, class masks, classes
+    # reversed as bits hi - s, free members, colours in play), the member
+    # it branches on and the next colour to try there
+    stack = [[[0] * k, [0] * k, [0] * k, sum(1 << x for x in members), 0,
+              members[0], 0]]
+    nodes = prunes = forced = deepest = 0
+    found = None
+    complete = True
+    while stack:
+        top = stack[-1]
+        f, masks, rmasks, free, u, x, c = top
+        bx = 1 << x
+        lim = u + 1 if u < k else k
+        while c < lim and f[c] & bx:
+            c += 1
+        if c == lim:
+            stack.pop()
+            continue
+        top[6] = c + 1
+        if nodes >= cap:
+            complete = False
+            break
+        nodes += 1
+        fl = f[:]
+        ml = masks[:]
+        rl = rmasks[:]
+        free ^= bx
+        single = bx               # the members settled this round
+        js = (c,)                 # and the colours they take
+        while True:
+            dead = 0
+            for j in js:
+                g = single & ~fl[j]
+                if not g:
+                    continue
+                if j >= u:
+                    u = j + 1
+                fj = fl[j]
+                mj = ml[j]
+                rj = rl[j]
+                while g:
+                    b = g & -g
+                    if fj & b:        # an earlier member of this round forbade it
+                        dead = b
+                        break
+                    g ^= b
+                    y = b.bit_length() - 1
+                    mj |= b
+                    rj |= 1 << (hi - y)
+                    m = mj << y                           # s + y
+                    r = mj >> y | rj >> (hi - y)          # |s - y|
+                    fj |= m | m << 1 | r | r >> 1 if dsum else m | r
+                    if not y & parity:
+                        fj |= 1 << (y >> 1)               # y's half
+                fl[j] = fj
+                ml[j] = mj
+                rl[j] = rj
+                if dead:
+                    break
+            if dead:
+                break
+            # bit-sliced over the forbid words: free members with every
+            # colour forbidden, and with all but at most one
+            dead = free
+            most = 0
+            for g in fl:
+                most = most & g | dead
+                dead &= g
+            if dead or not most:
+                break
+            single = most
+            free ^= single
+            forced += single.bit_count()
+            js = colours
+        if dead:
+            prunes += 1
+            continue
+        if not free:
+            found = [next(j for j in colours if ml[j] >> y & 1) for y in members]
+            deepest = n
+            break
+        deepest = max(deepest, n - free.bit_count())
+        # level[t]: free members with at least t colours forbidden, for t
+        # up to k - 2, as no member with fewer than two colours is left
+        level = [free] + [0] * (k - 2)
+        for g in fl:
+            for t in range(k - 2, 0, -1):
+                level[t] |= level[t - 1] & g
+        t = k - 2
+        while not level[t]:
+            t -= 1
+        g = level[t]
+        stack.append([fl, ml, rl, free, u, (g & -g).bit_length() - 1, 0])
+    return _Run(found, complete, nodes, prunes, forced, deepest, [])
+
+
 def _check_search_args(k: int, node_limit: Optional[int]) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -260,11 +403,14 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
 
     The search is complete: None certifies that no such colouring exists.
     If `node_limit` is exhausted first, SearchInconclusive is raised
-    rather than returning None.
+    rather than returning None.  Under the sum systems the colouring is
+    the first one `_goal_search` finds, most constrained member first; it
+    need not be the lexicographically least, as the product system's is.
     """
     _check_search_args(k, node_limit)
     members = ground.members().tolist()
-    run = _search(members, k, system, node_limit)
+    search = _search if system is TripleSystem.PRODUCT else _goal_search
+    run = search(members, k, system, node_limit)
     if not run.complete:
         raise SearchInconclusive(run.nodes, run.deepest)
     if run.found is None:

@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -22,6 +24,7 @@ from prodschur.solver import (
     schur_bounds,
     schur_number,
     _Run,
+    _goal_search,
     _search,
 )
 import prodschur
@@ -69,8 +72,11 @@ class TestExistsGoodColouring:
                     assert has_mono_triple(got, system) is None
 
     def test_node_limit_is_loud(self):
-        with pytest.raises(SearchInconclusive):
+        with pytest.raises(SearchInconclusive) as info:
             exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM, node_limit=5)
+        assert info.value.nodes_explored == 5
+        assert 0 < info.value.deepest < 13
+        assert "members coloured at one node" in str(info.value)
 
     def test_product_ground_with_one_is_never_colourable(self):
         ground = IntegerSubset.from_members(Interval(1, 4), [1, 3])
@@ -246,8 +252,74 @@ class TestPinnedSearchOrder:
         assert (run.found is not None) == (deepest == len(members))
 
     def test_goal_search_colouring(self):
+        """The most-constrained-first search finds the same colouring of
+        [1, 13] as the increasing-order one, re-certified by enumeration."""
         col = exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM)
         assert col.dense()[1:].tolist() == self.S3_WITNESS
+        assert brute_mono_triples(dict(enumerate(self.S3_WITNESS, 1)), SUM) == []
+
+
+class TestGoalSearch:
+    """The sum systems' goal search: most constrained member first, forced
+    members settled in place."""
+
+    @pytest.mark.parametrize("n,k,system,nodes,prunes,forced,good", [
+        (41, 4, DSUM, 20229, 10427, 51747, False),
+        (44, 4, SUM, 9523, 4886, 20195, True),
+        (14, 3, SUM, 32, 16, 55, False),
+        (14, 3, DSUM, 28, 14, 61, False),
+        (13, 3, SUM, 10, 2, 11, True),
+    ])
+    def test_pinned_counts(self, n, k, system, nodes, prunes, forced, good):
+        """[1, 14] has no good 3-colouring under either sum system (S(3) =
+        S'(3) = 14).  Coloured out of order, 6 can join a class before 3,
+        and a search that did not then bar 6's half from that class
+        returned a colouring of [1, 14] with 3 + 3 = 6 in one class."""
+        run = _goal_search(list(range(1, n + 1)), k, system)
+        assert run.complete
+        assert (run.nodes, run.prunes, run.forced) == (nodes, prunes, forced)
+        assert (run.found is not None) == good
+        if good:
+            colour_of = dict(enumerate(run.found, 1))
+            assert brute_mono_triples(colour_of, system) == []
+
+    @pytest.mark.parametrize("system,members,half", [
+        (SUM, [2, 3, 4, 5, 8, 10, 13], (5, 5, 10)),
+        (DSUM, [1, 3, 4, 7, 9, 12], (4, 4, 9)),
+    ])
+    def test_halving_is_the_only_obstacle(self, system, members, half):
+        """Some 2-colouring of these grounds has `half` (a + a = c, or
+        a + a + 1 = c) as its only monochromatic triple, and none has
+        none.  The search puts c in a class before a, so it must bar a
+        from c's class when c joins it."""
+        colourings = (dict(zip(members, assign))
+                      for assign in itertools.product((1, 2), repeat=len(members)))
+        assert any(brute_mono_triples(col, system) == [half] for col in colourings)
+        assert not brute_exists_good(members, 2, system)
+        ground = IntegerSubset.from_members(Interval(members[0], members[-1]), members)
+        assert exists_good_colouring(ground, 2, system) is None
+
+    def test_matches_increasing_order_search(self):
+        """200 seeded gappy grounds of 15-30 members, too many to enumerate:
+        existence agrees with `_search` in goal mode and every colouring
+        found has no monochromatic triple."""
+        rng = random.Random(1979)
+        answers = set()
+        for i in range(200):
+            k = (3, 4)[i % 2]
+            system = (SUM, DSUM)[i // 2 % 2]
+            size = rng.randint(15, 30)
+            lo = rng.randint(1, 2)
+            members = sorted(rng.sample(range(lo, lo + size + rng.randint(0, 8)), size))
+            run = _goal_search(members, k, system)
+            assert run.complete
+            good = _search(members, k, system).found is not None
+            assert (run.found is not None) == good, (members, k, system)
+            answers.add((k, good))
+            if good:
+                colour_of = dict(zip(members, run.found))
+                assert brute_mono_triples(colour_of, system) == [], (members, k, system)
+        assert {(3, True), (3, False), (4, True)} <= answers
 
 
 class TestSchurNumber:
