@@ -7,7 +7,8 @@ manifest (JSON: command line, config digest, seed, version, wall time);
 identical manifests modulo wall time produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 inconclusive search,
-3 resource guard tripped.
+3 resource guard tripped, 4 internal error (a result failed its own
+re-check).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -537,6 +539,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -240,8 +240,10 @@ class SolverOutcome:
     `conclusive` is False when a node limit or ceiling stopped the search
     before exhaustion; `lower_bound` is then the best certified bound
     (a good colouring of [lower_bound - 1] was found).  `prunes` counts
-    the branches cut because a future member had no colour left, and
-    `forced` the future members propagation left with one colour.
+    the nodes cut because an uncoloured member had no colour left, and
+    `forced` the members propagation left with one colour.  The counters
+    sum over every search the outcome rests on, and a node limit caps
+    their node total.
     """
 
     value: Optional[int]

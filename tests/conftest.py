@@ -60,6 +60,27 @@ def brute_exists_good(members, k, system) -> bool:
     return False
 
 
+def brute_least_good(members, k, system):
+    """{member: colour} of the lexicographically least canonical good
+    colouring (colours 1..k listed by increasing member, colour c + 1 only
+    after colour c), or None, by enumeration in lexicographic order."""
+    members = sorted(members)
+    for assign in iter_product(range(1, k + 1), repeat=len(members)):
+        top = 0
+        canonical = True
+        for a in assign:
+            if a > top + 1:
+                canonical = False
+                break
+            top = max(top, a)
+        if not canonical:
+            continue
+        colour_of = dict(zip(members, assign))
+        if not brute_mono_triples(colour_of, system):
+            return colour_of
+    return None
+
+
 def brute_min_mono(members, k, system) -> tuple:
     """(minimum count, lexicographically least minimising colours) over all
     k^|members| colourings, colours listed by increasing member."""

@@ -16,6 +16,7 @@ from prodschur import __version__, cli, randomlab
 from prodschur.cli import (
     EXIT_GUARD,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     colouring_from_text,
@@ -190,7 +191,7 @@ class TestExitCodes:
                                 "nodes_explored", "prunes", "forced",
                                 "ns_per_node", "elapsed_s"]
         assert (report["value"], report["nodes_explored"], report["prunes"],
-                report["forced"]) == ("14", "95", "49", "133")
+                report["forced"]) == ("14", "126", "29", "126")
         assert int(report["ns_per_node"]) > 0
 
     @pytest.mark.parametrize("limit", ["-1", "-50"])
@@ -210,6 +211,14 @@ class TestExitCodes:
     def test_guard_is_three(self, capsys):
         assert main(["schur", "--k", "6"]) == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
+
+    def test_internal_error_is_four(self, monkeypatch, capsys):
+        """A witness that fails its re-check is an internal error, and its
+        exit code is not the usage code."""
+        monkeypatch.setattr(prodschur.solver, "has_mono_triple",
+                            lambda colouring, system: (1, 1, 2, 1))
+        assert main(["schur", "--k", "2"]) == EXIT_INTERNAL != EXIT_USAGE
+        assert "internal error" in capsys.readouterr().err
 
     def test_value_error_is_usage(self, capsys):
         assert main(["gstar", "--k", "2", "--n", "100", "--eps", "2.0"]) == EXIT_USAGE

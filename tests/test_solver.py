@@ -29,11 +29,21 @@ from prodschur.solver import (
 )
 import prodschur
 from prodschur import counting
-from conftest import brute_exists_good, brute_max_good_subset, brute_mono_triples
+from conftest import (
+    brute_exists_good,
+    brute_least_good,
+    brute_max_good_subset,
+    brute_mono_triples,
+)
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
 PROD = TripleSystem.PRODUCT
+
+
+def _one_class(members, *args, **kwargs):
+    """A broken search: every member in colour 0, reported as good."""
+    return _Run([0] * len(members), True, 1, 0, 0, len(members))
 
 
 class TestExistsGoodColouring:
@@ -78,6 +88,18 @@ class TestExistsGoodColouring:
         assert 0 < info.value.deepest < 13
         assert "members coloured at one node" in str(info.value)
 
+    @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
+    def test_colouring_is_rechecked(self, system, lo, monkeypatch):
+        """A search that returned a colouring with a monochromatic triple
+        (1 + 1 = 2, or 2 * 2 = 4) would be an internal error, not a result."""
+        monkeypatch.setattr(prodschur.solver, "_goal_search", _one_class)
+        monkeypatch.setattr(prodschur.solver, "_search", _one_class)
+        ground = IntegerSubset.full(lo, 4)
+        with pytest.raises(RuntimeError, match="internal error"):
+            exists_good_colouring(ground, 2, system)
+        with pytest.raises(RuntimeError, match="internal error"):
+            is_k_schur(ground, 2, system)
+
     def test_product_ground_with_one_is_never_colourable(self):
         ground = IntegerSubset.from_members(Interval(1, 4), [1, 3])
         assert exists_good_colouring(ground, 3, PROD) is None
@@ -116,15 +138,14 @@ class TestExistsGoodColouring:
 
     def test_powers_of_two_product_mirror_sum_on_exponents(self):
         """2^a * 2^b = 2^(a+b): the product search on {2, 4, ..., 2^13} finds
-        the colouring the sum search finds on [1,13].  The product system
-        has no forced-colour propagation, so its tree is the one the sum
-        search walked with the plain dead test (80 nodes, 30 prunes)."""
+        the least colouring, the one the sum search finds on [1,13] when it
+        branches on the lowest free member.  The product system has no
+        forced-colour propagation (80 nodes, 30 prunes, none forced)."""
         powers = [2 ** e for e in range(1, 14)]
-        prod_run = _search(powers, 3, PROD)
-        sum_run = _search(list(range(1, 14)), 3, SUM)
+        prod_run = _search(powers, 3)
+        sum_run = _goal_search(list(range(1, 14)), 3, SUM, least=True)
         assert prod_run.found == sum_run.found is not None
         assert (prod_run.nodes, prod_run.prunes, prod_run.forced) == (80, 30, 0)
-        assert (sum_run.nodes, sum_run.prunes) == (32, 13)
         ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
         col = exists_good_colouring(ground, 3, PROD)
         assert [col.colour_of(m) for m in powers] == [c + 1 for c in sum_run.found]
@@ -142,7 +163,7 @@ class TestExistsGoodColouring:
         script = textwrap.dedent("""
             import json, os, resource
             from prodschur.core import IntegerSubset, Interval, TripleSystem
-            from prodschur.solver import _search, exists_good_colouring
+            from prodschur.solver import _goal_search, _search, exists_good_colouring
             with open("/proc/self/statm") as f:
                 size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -151,8 +172,9 @@ class TestExistsGoodColouring:
             ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
             out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None}
             for k in (2, 3):
-                prod = _search(powers, k, TripleSystem.PRODUCT)
-                plain = _search(list(range(1, 21)), k, TripleSystem.SUM)
+                prod = _search(powers, k)
+                plain = _goal_search(list(range(1, 21)), k, TripleSystem.SUM,
+                                     least=True)
                 out[k] = [prod.found == plain.found, prod.nodes]
             print(json.dumps(out))
         """)
@@ -202,9 +224,10 @@ class TestAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 12),
            st.sampled_from([SUM, DSUM]))
-    def test_frontier_matches_enumerated_prefix(self, k, m, system):
-        """The frontier search under a ceiling m reaches exactly the longest
-        prefix of [1, m] that enumeration can colour."""
+    def test_lower_bound_matches_enumerated_prefix(self, k, m, system):
+        """The ascent under a ceiling m stops at exactly the longest prefix
+        of [1, m] that enumeration can colour; a conclusive witness is the
+        least good colouring of that prefix."""
         prefix = 0
         while prefix < m and brute_prefix_good(prefix + 1, k, system):
             prefix += 1
@@ -213,23 +236,39 @@ class TestAgainstBruteForce:
         assert out.conclusive == (prefix < m)
         colour_of = {i: out.witness.colour_of(i) for i in range(1, prefix + 1)}
         assert brute_mono_triples(colour_of, system) == []
+        if out.conclusive:
+            assert colour_of == brute_least_good(range(1, prefix + 1), k, system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.just(k), gappy_grounds(max_size=10 if k < 3 else 8))),
+        st.sampled_from([SUM, DSUM]))
+    def test_least_goal_search_matches_enumeration(self, k_ground, system):
+        """Branching on the lowest free member finds exactly the least good
+        colouring that enumeration finds, or none when it finds none."""
+        k, ground = k_ground
+        members = ground.members().tolist()
+        run = _goal_search(members, k, system, least=True)
+        assert run.complete
+        want = brute_least_good(members, k, system)
+        got = None if run.found is None else {m: c + 1 for m, c in zip(members, run.found)}
+        assert got == want
 
 
 class TestPinnedSearchOrder:
-    """Node, prune and forced counts of the search with forced-colour
-    propagation, and the witnesses and found colourings it must share
-    with the plain dead-test search before it.
+    """Node, prune and forced counts of `schur_number`, of the product
+    search and of the goal search branching on the lowest free member,
+    and the witnesses and found colourings they must share with the
+    increasing-order searches before them.
 
-    Propagation only cuts subtrees, so values, witnesses and found
-    colourings keep the pins recorded from the plain search; the counts
-    were recorded from this one.  The product system has no propagation,
-    so its counts are the plain search's.
+    The counts were recorded from these searches; values, witnesses and
+    found colourings keep the pins recorded before them.
     """
 
     S3_WITNESS = [1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1]
 
     @pytest.mark.parametrize("system,nodes,prunes,forced", [
-        (SUM, 95, 49, 133), (DSUM, 42, 18, 60),
+        (SUM, 126, 29, 126), (DSUM, 92, 14, 101),
     ])
     def test_schur_number_k3(self, system, nodes, prunes, forced):
         out = schur_number(3, system)
@@ -242,11 +281,15 @@ class TestPinnedSearchOrder:
         (range(2, 41), 2, PROD, 157, 15, 56),
         (range(4, 1001), 2, PROD, 1007, 997, 10),
         (range(2, 1001), 3, PROD, 1006, 999, 7),
-        (range(1, 14), 3, SUM, 32, 13, 13),
-        (range(1, 14), 3, DSUM, 15, 13, 2),
+        (range(1, 14), 3, SUM, 20, 13, 9),
+        (range(1, 14), 3, DSUM, 5, 13, 0),
     ])
     def test_goal_search(self, members, k, system, nodes, deepest, prunes):
-        run = _search(list(members), k, system)
+        """Products on `_search`, sums on the lowest-free-member rule."""
+        if system is PROD:
+            run = _search(list(members), k)
+        else:
+            run = _goal_search(list(members), k, system, least=True)
         assert run.complete
         assert (run.nodes, run.deepest, run.prunes) == (nodes, deepest, prunes)
         assert (run.found is not None) == (deepest == len(members))
@@ -301,8 +344,9 @@ class TestGoalSearch:
 
     def test_matches_increasing_order_search(self):
         """200 seeded gappy grounds of 15-30 members, too many to enumerate:
-        existence agrees with `_search` in goal mode and every colouring
-        found has no monochromatic triple."""
+        the default rule and the lowest-free-member rule agree on existence,
+        every colouring found has no monochromatic triple, and the second
+        rule's is never above the first's in lexicographic order."""
         rng = random.Random(1979)
         answers = set()
         for i in range(200):
@@ -312,13 +356,17 @@ class TestGoalSearch:
             lo = rng.randint(1, 2)
             members = sorted(rng.sample(range(lo, lo + size + rng.randint(0, 8)), size))
             run = _goal_search(members, k, system)
-            assert run.complete
-            good = _search(members, k, system).found is not None
+            least = _goal_search(members, k, system, least=True)
+            assert run.complete and least.complete
+            good = least.found is not None
             assert (run.found is not None) == good, (members, k, system)
             answers.add((k, good))
             if good:
-                colour_of = dict(zip(members, run.found))
-                assert brute_mono_triples(colour_of, system) == [], (members, k, system)
+                assert least.found <= run.found, (members, k, system)
+                for found in (run.found, least.found):
+                    colour_of = dict(zip(members, found))
+                    assert brute_mono_triples(colour_of, system) == [], \
+                        (members, k, system)
         assert {(3, True), (3, False), (4, True)} <= answers
 
 
@@ -378,9 +426,10 @@ class TestSchurNumber:
         assert not out.conclusive
         assert out.value is None
         assert out.nodes_explored == 50
-        # bound and witness as the earlier recursive search left them
-        assert out.lower_bound == 13
-        assert out.witness.dense()[1:].tolist() == [1, 2, 1, 3, 2, 3, 3, 1, 3, 1, 2, 1]
+        # the ascent's colouring of [1, 10], the largest prefix it found
+        # good within the limit
+        assert out.lower_bound == 11
+        assert out.witness.dense()[1:].tolist() == [1, 2, 2, 1, 3, 1, 3, 3, 1, 2]
         assert has_mono_triple(out.witness, SUM) is None
 
     def test_zero_node_limit_explores_nothing(self):
@@ -404,8 +453,7 @@ class TestSchurNumber:
     def test_witness_is_rechecked(self, monkeypatch):
         """A search that returned a bad witness would be an internal error,
         not a result: 1 + 1 = 2 in one colour."""
-        monkeypatch.setattr(prodschur.solver, "_search",
-                            lambda *args, **kwargs: _Run(None, True, 1, 0, 0, 2, [0, 0]))
+        monkeypatch.setattr(prodschur.solver, "_goal_search", _one_class)
         with pytest.raises(RuntimeError, match="internal error"):
             schur_number(2, SUM)
 
