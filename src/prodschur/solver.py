@@ -1,12 +1,11 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
-Three searches answer the exact queries.  Every query under the sum
-systems runs `_goal_search`: `exists_good_colouring` and `is_k_schur` on
-their ground, and `schur_number` on [1, n] for n = 1, 2, ... until some
-[1, n] has no good colouring.  Having one is monotone in n, so that n is
-S(k); one more search on [1, S - 1], branching on the lowest free member,
-gives the witness.  The product system's goal queries run `_search`,
-which colours an increasing member list in increasing order.
+Two searches answer the exact queries.  Every goal query runs
+`_goal_search`, under all three triple systems: `exists_good_colouring`
+and `is_k_schur` on their ground, and `schur_number` on [1, n] for
+n = 1, 2, ... until some [1, n] has no good colouring.  Having one is
+monotone in n, so that n is S(k); one more search on [1, S - 1],
+branching on the lowest free member, gives the witness.
 `max_non_schur_subset` runs the branch-and-bound of `counting`.  Both
 backtracking searches keep, for each colour c, `forb[c]`: a bitmask of
 the values c may no longer take.  Colours appear in canonical order
@@ -15,39 +14,39 @@ because colour classes are interchangeable.  Each search is one loop
 over an explicit per-depth stack, so its depth is not bounded by the
 interpreter's recursion limit.
 
-`_search` (product system only): giving x colour c forbids c at a*x for
-every a already in class c, including a = x, by walking the increasing
-class list until the first a*x > hi.  The stack holds, per depth, the
-colour given, the colours in play before it, and that colour's forbid
-word before it.  Once all k colours are in play, a child whose future
-members include one with every colour forbidden is pruned.  No member is
-forced: propagating a product class would need divisibility.
+`_goal_search`: members join classes out of order, so inserting y in
+class c forbids c at every member that would close a triple with y and
+the members of c.  Only this insertion rule depends on the system.
+Under the sum systems it is shift arithmetic on the class mask: s+y and
+|s-y| for every member s of c (also s+y+1 and |s-y|-1 for the double
+sum), and y's half, since y may be a+a (or a+a+1 for the double sum).
+s+y is one left shift of the class mask; |s-y| comes from a right shift
+of the class mask and of a reversed class mask (bit hi-s for member s).
+Under the product system the ground's triples are listed once, by
+`counting._mono_scan`, as per-member pairs (p, q) of bits: y's class
+holding p bars q from it.  A triple ab = c of three distinct members
+gives each of them two pairs, and a*a = a^2 and 1*b = b give each of
+their two members (its own bit, the other's bit).  1*1 = 1 is a triple
+too, so 1 takes no colour: it starts forbidden in every class.
 
-`_goal_search` (sum systems only): members join classes out of order, so
-inserting y in class c forbids c at every value that closes a triple
-with y and a member s of c on either side: s+y and |s-y| (also s+y+1 and
-|s-y|-1 for the double sum), and y's half, since y may be a+a (or a+a+1
-for the double sum).  s+y is one left shift of the class mask; |s-y|
-comes from a right shift of the class mask and of a reversed class mask
-(bit hi-s for member s).  A node gives one member a colour, then settles
-every free member with exactly one colour left in its class, as real
-assignments of that node, to a fixpoint; bit-sliced passes over the k
-forbid words find the free members with no colour left (dead) and with
-one.  A dead member, or a forced member that an earlier one of the same
-round forbade, prunes the node.  By default the next branch is on the
-lowest free member among those with the fewest colours left (the DSatur
-rule of Brelaz, 1979), where a colour not yet in play counts as left;
-the first good colouring it finds is deterministic, but it need not be
-the lexicographically least.  Branching on the lowest free member
-instead finds the least one: a settled member has its colour in every
-good extension, and that colour is in play or is the one colour not yet
-in play, so the colourings are met in lexicographic order.  The stack
-holds, per depth, one tuple of the state its node left (forbid words,
-class masks, reversed masks, free members, colours in play) and the
-member it branches on, with the next colour to try in a parallel list.
-A child works on copies of its parent's lists, except a depth's last
-child: its parent has nothing left to try, so it is popped and the child
-takes its lists over.
+A node gives one member a colour, then settles every free member with
+exactly one colour left in its class, as real assignments of that node,
+to a fixpoint; bit-sliced passes over the k forbid words find the free
+members with no colour left (dead) and with one.  A dead member, or a
+forced member that an earlier one of the same round forbade, prunes the
+node.  By default the next branch is on the lowest free member among
+those with the fewest colours left (the DSatur rule of Brelaz, 1979),
+where a colour not yet in play counts as left; the first good colouring
+it finds is deterministic, but it need not be the lexicographically
+least.  Branching on the lowest free member instead finds the least one:
+a settled member has its colour in every good extension, and that colour
+is in play or is the one colour not yet in play, so the colourings are
+met in lexicographic order.  The stack holds, per depth, one tuple of
+the state its node left (forbid words, class masks, reversed masks, free
+members, colours in play) and the member it branches on, with the next
+colour to try in a parallel list.  A child works on copies of its
+parent's lists, except a depth's last child: its parent has nothing left
+to try, so it is popped and the child takes its lists over.
 """
 
 from __future__ import annotations
@@ -57,6 +56,8 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     Colouring,
     IntegerSubset,
@@ -65,16 +66,14 @@ from .core import (
     SolverOutcome,
     TripleSystem,
 )
-from .counting import _branch_and_bound, has_mono_triple
+from .counting import _branch_and_bound, _mono_scan, has_mono_triple
 
 
 class SearchInconclusive(Exception):
     """A node limit stopped a goal query before exhaustion.
 
-    `deepest` is the most members coloured at one node: under the product
-    system the longest good prefix of the increasing member list, and
-    under the sum systems the members branched on or settled at a node
-    that propagation kept.
+    `deepest` is the most members coloured at one node, branched on or
+    settled, among the nodes that propagation kept.
     """
 
     def __init__(self, nodes_explored: int, deepest: int):
@@ -111,87 +110,36 @@ class _Run(NamedTuple):
     deepest: int                 # most members coloured at one node
 
 
-def _search(members: Sequence[int], k: int,
-            node_limit: Optional[int] = None) -> _Run:
-    """Backtracking over the product k-colourings of the increasing `members`.
-
-    The first good colouring found is the lexicographically least.  The
-    search stops there, at the node limit, or when the tree is exhausted.
-    """
-    n = len(members)
-    if not n:
-        return _Run([], True, 0, 0, 0, 0)
+def _product_pairs(members: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+    """Per member y of the increasing `members`, the pairs (p, q) of member
+    bits such that y's class holding p bars q from it, one pair for each
+    way y closes a product triple of the ground.  1 * 1 = 1 gives none:
+    the caller bars 1 from every class.  The pairs share one bit object
+    per member, so their memory grows with the triples, not with the
+    triples times hi."""
     hi = members[-1]
-    mbit = [1 << x for x in members]      # mbit[d]: the bit of members[d]
-    suffix = [0] * (n + 1)                # suffix[i]: bits of members[i:]
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | mbit[i]
-    cap = math.inf if node_limit is None else node_limit
-    # 1*1 = 1 is itself a product triple, so 1 takes no colour
-    forb = [1 << 1] * k
-    classes: list[list[int]] = [[] for _ in range(k)]
-    colour = [0] * n                      # colour given at each depth
-    used = [0] * n                        # colours in play before each depth
-    saved = [0] * n                       # forb of that colour before it
-    nodes = prunes = deepest = 0
-    found = None
-    complete = True
-    last = n - 1
-    d = c = u = 0
-    while True:
-        x = members[d]
-        bx = mbit[d]
-        lim = u + 1 if u < k else k
-        while c < lim and forb[c] & bx:
-            c += 1
-        if c < lim:
-            if nodes >= cap:
-                complete = False
-                break
-            nodes += 1
-            f = saved[d] = forb[c]
-            cl = classes[c]
-            cl.append(x)
-            for a in cl:                  # increasing, and ends with x itself
-                q = a * x
-                if q > hi:
-                    break
-                f |= 1 << q
-            forb[c] = f
-            colour[d] = c
-            if d == deepest:
-                deepest = d + 1
-                if d == last:
-                    found = colour
-                    break
-            nu = u if c < u else c + 1
-            dead = 0
-            if nu == k:       # with fewer colours in play a fresh one is free
-                dead = suffix[d + 1]
-                for g in forb:
-                    dead &= g
-            if not dead:
-                d += 1
-                u = used[d] = nu
-                c = 0
-                continue
-            prunes += 1
+    ones = np.zeros(hi + 1, dtype=np.int8)
+    ones[members] = 1  # one colour class: every product triple of the ground
+    _, triples = _mono_scan(ones, members[0], hi, TripleSystem.PRODUCT, collect=True)
+    bit = {y: 1 << y for y in members}
+    close: dict[int, list[tuple[int, int]]] = {y: [] for y in members}
+    for a, b, c in triples:
+        if a == c:                                    # 1 * 1 = 1
+            continue
+        pa, pb, pc = bit[a], bit[b], bit[c]
+        if a == b or b == c:                          # a * a = c, 1 * b = b
+            close[a].append((pa, pc))
+            close[c].append((pc, pa))
         else:
-            d -= 1
-            if d < 0:
-                break
-            c = colour[d]
-            u = used[d]
-        # take back colour c at depth d, then try the next one there
-        forb[c] = saved[d]
-        classes[c].pop()
-        c += 1
-    return _Run(found, complete, nodes, prunes, 0, deepest)
+            close[a] += (pb, pc), (pc, pb)
+            close[b] += (pa, pc), (pc, pa)
+            close[c] += (pa, pb), (pb, pa)
+    return close
 
 
 def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                  node_limit: Optional[int] = None, least: bool = False) -> _Run:
-    """Goal search over the k-colourings of `members` under a sum system.
+    """Goal search over the k-colourings of the increasing `members`.
 
     Each node colours the member with the fewest colours left (the lowest
     one on a tie), or with `least` the lowest free member, then settles
@@ -204,6 +152,8 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     n = len(members)
     if not n:
         return _Run([], True, 0, 0, 0, 0)
+    product = system is TripleSystem.PRODUCT
+    close = _product_pairs(members) if product else {}
     dsum = system is TripleSystem.DOUBLE_SUM
     # y's half is barred from y's class: y = a + a for y even, and under
     # the double sum y = a + a + 1 for y odd
@@ -211,10 +161,13 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     colours = tuple(range(k))
     hi = members[-1]
     cap = math.inf if node_limit is None else node_limit
+    barred = 1 << 1 if product and members[0] == 1 else 0   # 1 * 1 = 1
     # per depth: the state its node left (forbid words, class masks, classes
-    # reversed as bits hi - s, free members, colours in play) and the member
-    # it branches on; nxt[i] is the next colour to try at depth i
-    stack = [([0] * k, [0] * k, [0] * k, sum(1 << x for x in members), 0, members[0])]
+    # reversed as bits hi - s for the sum systems, free members, colours in
+    # play) and the member it branches on; nxt[i] is the next colour to try
+    # at depth i
+    stack = [([barred] * k, [0] * k, [0] * k, sum(1 << x for x in members), 0,
+              members[0])]
     nxt = [0]
     nodes = prunes = forced = deepest = 0
     found = None
@@ -251,15 +204,21 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
         if c == u:
             u += 1
         mj = ml[c] | bx
-        rj = rl[c] | 1 << (hi - x)
-        m = mj << x                                   # s + x
-        r = mj >> x | rj >> (hi - x)                  # |s - x|
-        fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r)
-        if not x & parity:
-            fj |= 1 << (x >> 1)                       # x's half
+        if product:
+            fj = fl[c]
+            for p, q in close[x]:
+                if mj & p:
+                    fj |= q
+        else:
+            rj = rl[c] | 1 << (hi - x)
+            m = mj << x                               # s + x
+            r = mj >> x | rj >> (hi - x)              # |s - x|
+            fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r)
+            if not x & parity:
+                fj |= 1 << (x >> 1)                   # x's half
+            rl[c] = rj
         fl[c] = fj
         ml[c] = mj
-        rl[c] = rj
         while True:
             # bit-sliced over the forbid words: free members with every
             # colour forbidden, and with all but at most one
@@ -289,12 +248,17 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                     g ^= b
                     y = b.bit_length() - 1
                     mj |= b
-                    rj |= 1 << (hi - y)
-                    m = mj << y
-                    r = mj >> y | rj >> (hi - y)
-                    fj |= m | m << 1 | r | r >> 1 if dsum else m | r
-                    if not y & parity:
-                        fj |= 1 << (y >> 1)
+                    if product:
+                        for p, q in close[y]:
+                            if mj & p:
+                                fj |= q
+                    else:
+                        rj |= 1 << (hi - y)
+                        m = mj << y
+                        r = mj >> y | rj >> (hi - y)
+                        fj |= m | m << 1 | r | r >> 1 if dsum else m | r
+                        if not y & parity:
+                            fj |= 1 << (y >> 1)
                 fl[j] = fj
                 ml[j] = mj
                 rl[j] = rj
@@ -306,7 +270,14 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
             prunes += 1
             continue
         if not free:
-            found = [next(j for j in colours if ml[j] >> y & 1) for y in members]
+            colour_of = {}
+            for j in colours:
+                g = ml[j]
+                while g:
+                    b = g & -g
+                    colour_of[b.bit_length() - 1] = j
+                    g ^= b
+            found = [colour_of[y] for y in members]
             deepest = n
             break
         depth = n - free.bit_count()
@@ -358,16 +329,12 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
     The search is complete: None certifies that no such colouring exists.
     If `node_limit` is exhausted first, SearchInconclusive is raised
     rather than returning None.  The colouring is re-checked before it is
-    returned.  Under the sum systems it is the first one `_goal_search`
-    finds, most constrained member first; it need not be the
-    lexicographically least, as the product system's is.
+    returned.  It is the first one `_goal_search` finds, most constrained
+    member first; it need not be the lexicographically least.
     """
     _check_search_args(k, node_limit)
     members = ground.members().tolist()
-    if system is TripleSystem.PRODUCT:
-        run = _search(members, k, node_limit)
-    else:
-        run = _goal_search(members, k, system, node_limit)
+    run = _goal_search(members, k, system, node_limit)
     if not run.complete:
         raise SearchInconclusive(run.nodes, run.deepest)
     if run.found is None:

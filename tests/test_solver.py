@@ -25,7 +25,6 @@ from prodschur.solver import (
     schur_number,
     _Run,
     _goal_search,
-    _search,
 )
 import prodschur
 from prodschur import counting
@@ -87,13 +86,17 @@ class TestExistsGoodColouring:
         assert info.value.nodes_explored == 5
         assert 0 < info.value.deepest < 13
         assert "members coloured at one node" in str(info.value)
+        # the product goal search on [4, 1000] needs 408 nodes
+        with pytest.raises(SearchInconclusive) as info:
+            exists_good_colouring(IntegerSubset.full(4, 1000), 2, PROD, node_limit=5)
+        assert info.value.nodes_explored == 5
+        assert 0 < info.value.deepest < 997
 
     @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
     def test_colouring_is_rechecked(self, system, lo, monkeypatch):
         """A search that returned a colouring with a monochromatic triple
         (1 + 1 = 2, or 2 * 2 = 4) would be an internal error, not a result."""
         monkeypatch.setattr(prodschur.solver, "_goal_search", _one_class)
-        monkeypatch.setattr(prodschur.solver, "_search", _one_class)
         ground = IntegerSubset.full(lo, 4)
         with pytest.raises(RuntimeError, match="internal error"):
             exists_good_colouring(ground, 2, system)
@@ -111,16 +114,20 @@ class TestExistsGoodColouring:
     def test_long_product_grounds_need_no_recursion(self, lo, k, digest):
         """Grounds far deeper than the default recursion limit of 1000.
 
-        The digest of the 0-based colour list is the one the recursive
-        search produced (run with a raised recursion limit).
+        The digest of the 0-based least colouring is the one the recursive
+        increasing-order search produced (run with a raised recursion
+        limit); the colouring `exists_good_colouring` finds first is
+        re-certified by enumeration.
         """
+        members = list(range(lo, 1001))
+        run = _goal_search(members, k, PROD, least=True)
+        assert run.complete and run.found is not None
+        assert hashlib.sha256(bytes(run.found)).hexdigest()[:16] == digest
         ground = IntegerSubset.full(lo, 1000)
         col = exists_good_colouring(ground, k, PROD)
         assert col is not None and col.ground == ground
-        colour_of = {m: col.colour_of(m) for m in range(lo, 1001)}
+        colour_of = {m: col.colour_of(m) for m in members}
         assert brute_mono_triples(colour_of, PROD) == []
-        zero_based = bytes(c - 1 for c in colour_of.values())
-        assert hashlib.sha256(zero_based).hexdigest()[:16] == digest
 
     def test_negative_node_limit_rejected(self):
         ground = IntegerSubset.full(1, 5)
@@ -137,19 +144,19 @@ class TestExistsGoodColouring:
                                      node_limit=100) is not None
 
     def test_powers_of_two_product_mirror_sum_on_exponents(self):
-        """2^a * 2^b = 2^(a+b): the product search on {2, 4, ..., 2^13} finds
-        the least colouring, the one the sum search finds on [1,13] when it
-        branches on the lowest free member.  The product system has no
-        forced-colour propagation (80 nodes, 30 prunes, none forced)."""
+        """2^a * 2^b = 2^(a+b): under either branch rule the product search
+        on {2, 4, ..., 2^13} does what the sum search does on [1, 13], node
+        for node, and finds the same colouring."""
         powers = [2 ** e for e in range(1, 14)]
-        prod_run = _search(powers, 3)
-        sum_run = _goal_search(list(range(1, 14)), 3, SUM, least=True)
-        assert prod_run.found == sum_run.found is not None
-        assert (prod_run.nodes, prod_run.prunes, prod_run.forced) == (80, 30, 0)
+        for least in (True, False):
+            prod_run = _goal_search(powers, 3, PROD, least=least)
+            sum_run = _goal_search(list(range(1, 14)), 3, SUM, least=least)
+            assert prod_run == sum_run and sum_run.found is not None, least
         ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
         col = exists_good_colouring(ground, 3, PROD)
-        assert [col.colour_of(m) for m in powers] == [c + 1 for c in sum_run.found]
-        assert brute_mono_triples({m: col.colour_of(m) for m in powers}, PROD) == []
+        colour_of = {m: col.colour_of(m) for m in powers}
+        assert list(colour_of.values()) == [c + 1 for c in sum_run.found]
+        assert brute_mono_triples(colour_of, PROD) == []
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads the address-space size from /proc")
@@ -163,7 +170,7 @@ class TestExistsGoodColouring:
         script = textwrap.dedent("""
             import json, os, resource
             from prodschur.core import IntegerSubset, Interval, TripleSystem
-            from prodschur.solver import _goal_search, _search, exists_good_colouring
+            from prodschur.solver import _goal_search, exists_good_colouring
             with open("/proc/self/statm") as f:
                 size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -172,10 +179,11 @@ class TestExistsGoodColouring:
             ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
             out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None}
             for k in (2, 3):
-                prod = _search(powers, k)
-                plain = _goal_search(list(range(1, 21)), k, TripleSystem.SUM,
-                                     least=True)
-                out[k] = [prod.found == plain.found, prod.nodes]
+                for least in (False, True):
+                    prod = _goal_search(powers, k, TripleSystem.PRODUCT, least=least)
+                    plain = _goal_search(list(range(1, 21)), k, TripleSystem.SUM,
+                                         least=least)
+                    out[f"{k}{least}"] = prod == plain
             print(json.dumps(out))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(prodschur.__file__).parents[1]))
@@ -183,8 +191,8 @@ class TestExistsGoodColouring:
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
-        assert out["none"] is True
-        assert out["2"] == [True, 5] and out["3"][0] is True
+        assert out == {"none": True, "2False": True, "2True": True,
+                       "3False": True, "3True": True}
 
 
 @st.composite
@@ -242,7 +250,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda k: st.tuples(st.just(k), gappy_grounds(max_size=10 if k < 3 else 8))),
-        st.sampled_from([SUM, DSUM]))
+        st.sampled_from([SUM, DSUM, PROD]))
     def test_least_goal_search_matches_enumeration(self, k_ground, system):
         """Branching on the lowest free member finds exactly the least good
         colouring that enumeration finds, or none when it finds none."""
@@ -256,10 +264,9 @@ class TestAgainstBruteForce:
 
 
 class TestPinnedSearchOrder:
-    """Node, prune and forced counts of `schur_number`, of the product
-    search and of the goal search branching on the lowest free member,
-    and the witnesses and found colourings they must share with the
-    increasing-order searches before them.
+    """Node, prune and forced counts of `schur_number` and of the goal
+    search, and the witnesses and found colourings they must share with
+    the increasing-order searches before them.
 
     The counts were recorded from these searches; values, witnesses and
     found colourings keep the pins recorded before them.
@@ -277,19 +284,17 @@ class TestPinnedSearchOrder:
         assert out.witness.dense()[1:].tolist() == self.S3_WITNESS
 
     @pytest.mark.parametrize("members,k,system,nodes,deepest,prunes", [
-        (range(2, 33), 2, PROD, 157, 15, 56),
-        (range(2, 41), 2, PROD, 157, 15, 56),
-        (range(4, 1001), 2, PROD, 1007, 997, 10),
-        (range(2, 1001), 3, PROD, 1006, 999, 7),
+        (range(2, 33), 2, PROD, 1, 0, 1),
+        (range(2, 41), 2, PROD, 1, 0, 1),
+        (range(4, 1001), 2, PROD, 408, 997, 0),
+        (range(2, 1001), 3, PROD, 923, 999, 0),
         (range(1, 14), 3, SUM, 20, 13, 9),
         (range(1, 14), 3, DSUM, 5, 13, 0),
     ])
     def test_goal_search(self, members, k, system, nodes, deepest, prunes):
-        """Products on `_search`, sums on the lowest-free-member rule."""
-        if system is PROD:
-            run = _search(list(members), k)
-        else:
-            run = _goal_search(list(members), k, system, least=True)
+        """Products on the default rule, which `exists_good_colouring` and
+        `is_k_schur` run; sums on the lowest-free-member rule."""
+        run = _goal_search(list(members), k, system, least=system is not PROD)
         assert run.complete
         assert (run.nodes, run.deepest, run.prunes) == (nodes, deepest, prunes)
         assert (run.found is not None) == (deepest == len(members))
@@ -343,31 +348,41 @@ class TestGoalSearch:
         assert exists_good_colouring(ground, 2, system) is None
 
     def test_matches_increasing_order_search(self):
-        """200 seeded gappy grounds of 15-30 members, too many to enumerate:
-        the default rule and the lowest-free-member rule agree on existence,
+        """200 seeded gappy grounds of 15-30 members under the sum systems,
+        and 40 seeded product grounds [2, n], too many to enumerate: the
+        default rule and the lowest-free-member rule agree on existence,
         every colouring found has no monochromatic triple, and the second
         rule's is never above the first's in lexicographic order."""
         rng = random.Random(1979)
-        answers = set()
+        cases = []
         for i in range(200):
             k = (3, 4)[i % 2]
             system = (SUM, DSUM)[i // 2 % 2]
             size = rng.randint(15, 30)
             lo = rng.randint(1, 2)
             members = sorted(rng.sample(range(lo, lo + size + rng.randint(0, 8)), size))
+            cases.append((members, k, system))
+        for i in range(40):
+            k = (2, 3)[i % 2]
+            n = rng.randint(20, 40 if k == 2 else 300)  # [2, 32] is 2-Schur
+            cases.append((list(range(2, n + 1)), k, PROD))
+        answers = set()
+        for members, k, system in cases:
             run = _goal_search(members, k, system)
             least = _goal_search(members, k, system, least=True)
             assert run.complete and least.complete
             good = least.found is not None
             assert (run.found is not None) == good, (members, k, system)
-            answers.add((k, good))
+            answers.add((system is PROD, k, good))
             if good:
                 assert least.found <= run.found, (members, k, system)
                 for found in (run.found, least.found):
                     colour_of = dict(zip(members, found))
                     assert brute_mono_triples(colour_of, system) == [], \
                         (members, k, system)
-        assert {(3, True), (3, False), (4, True)} <= answers
+        # (product?, k, good)
+        assert {(False, 3, True), (False, 3, False), (False, 4, True),
+                (True, 2, True), (True, 2, False), (True, 3, True)} <= answers
 
 
 class TestSchurNumber:
