@@ -22,8 +22,8 @@ Under the sum systems it is shift arithmetic on the class mask: s+y and
 sum), and y's half, since y may be a+a (or a+a+1 for the double sum).
 s+y is one left shift of the class mask; |s-y| comes from a right shift
 of the class mask and of a reversed class mask (bit hi-s for member s).
-Under the product system the ground's triples are listed once, by
-`counting._mono_scan`, as per-member pairs (p, q) of bits: y's class
+Under the product system the ground's triples are read once, from the
+rows of `core._mono_rows`, as per-member pairs (p, q) of bits: y's class
 holding p bars q from it.  A triple ab = c of three distinct members
 gives each of them two pairs, and a*a = a^2 and 1*b = b give each of
 their two members (its own bit, the other's bit).  1*1 = 1 is a triple
@@ -34,12 +34,18 @@ exactly one colour left in its class, as real assignments of that node,
 to a fixpoint; bit-sliced passes over the k forbid words find the free
 members with no colour left (dead) and with one.  A dead member, or a
 forced member that an earlier one of the same round forbade, prunes the
-node.  By default the next branch is on the lowest free member among
-those with the fewest colours left (the DSatur rule of Brelaz, 1979),
-where a colour not yet in play counts as left; the first good colouring
-it finds is deterministic, but it need not be the lexicographically
-least.  Branching on the lowest free member instead finds the least one:
-a settled member has its colour in every good extension, and that colour
+node.  By default the next branch is on a free member among those with
+the fewest colours left (the DSatur rule of Brelaz, 1979), where a colour
+not yet in play counts as left.  Ties go by conflict weight, a cheap form
+of the dom/wdeg rule of Boussemart, Hemery, Lecoutre and Sais (2004):
+each pruned node adds 1 to the weight of the lowest member that pruned
+it, the tied members are narrowed to those in the highest power-of-two
+weight bucket that holds any of them, and the lowest of those is taken.
+The weights live for one search, and before its first prune every tie
+goes to the lowest member.  The first good colouring it finds is
+deterministic, but it need not be the lexicographically least.
+Branching on the lowest free member instead finds the least one: a
+settled member has its colour in every good extension, and that colour
 is in play or is the one colour not yet in play, so the colourings are
 met in lexicographic order.  The stack holds, per depth, one tuple of
 the state its node left (forbid words, class masks, reversed masks, free
@@ -51,7 +57,7 @@ to try, so it is popped and the child takes its lists over.
 
 from __future__ import annotations
 
-import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -65,8 +71,9 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
+    _mono_rows,
 )
-from .counting import _branch_and_bound, _mono_scan, has_mono_triple
+from .counting import _branch_and_bound, has_mono_triple
 
 
 class SearchInconclusive(Exception):
@@ -120,20 +127,22 @@ def _product_pairs(members: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
     hi = members[-1]
     ones = np.zeros(hi + 1, dtype=np.int8)
     ones[members] = 1  # one colour class: every product triple of the ground
-    _, triples = _mono_scan(ones, members[0], hi, TripleSystem.PRODUCT, collect=True)
     bit = {y: 1 << y for y in members}
     close: dict[int, list[tuple[int, int]]] = {y: [] for y in members}
-    for a, b, c in triples:
-        if a == c:                                    # 1 * 1 = 1
-            continue
-        pa, pb, pc = bit[a], bit[b], bit[c]
-        if a == b or b == c:                          # a * a = c, 1 * b = b
-            close[a].append((pa, pc))
-            close[c].append((pc, pa))
-        else:
-            close[a] += (pb, pc), (pc, pb)
-            close[b] += (pa, pc), (pc, pa)
-            close[c] += (pa, pb), (pb, pa)
+    for a, b0, _, mask in _mono_rows(ones, hi, TripleSystem.PRODUCT):
+        pa = bit[a]
+        for b in (np.flatnonzero(mask) + b0).tolist():
+            c = a * b
+            if a == c:                                # 1 * 1 = 1
+                continue
+            pb, pc = bit[b], bit[c]
+            if a == b or b == c:                      # a * a = c, 1 * b = b
+                close[a].append((pa, pc))
+                close[c].append((pc, pa))
+            else:
+                close[a] += (pb, pc), (pc, pb)
+                close[b] += (pa, pc), (pc, pa)
+                close[c] += (pa, pb), (pb, pa)
     return close
 
 
@@ -141,26 +150,39 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                  node_limit: Optional[int] = None, least: bool = False) -> _Run:
     """Goal search over the k-colourings of the increasing `members`.
 
-    Each node colours the member with the fewest colours left (the lowest
-    one on a tie), or with `least` the lowest free member, then settles
-    every free member left with one colour to a fixpoint; a member with
-    none prunes the node.  It stops at the first good colouring of every
-    member, at the node limit, or when the tree is exhausted.  With
-    `least` that colouring is the lexicographically least.  `deepest` is
-    the most members coloured at a node that propagation kept.
+    Each node colours the member with the fewest colours left, or with
+    `least` the lowest free member, then settles every free member left
+    with one colour to a fixpoint; a member with none prunes the node and
+    adds 1 to the conflict weight of the lowest such member.  A tie for
+    the fewest colours goes to the lowest member among those whose weight
+    has reached the highest power of two that any of them has reached.
+    It stops at the first good colouring of every member, at the node
+    limit, or when the tree is exhausted.  With `least` that colouring is
+    the lexicographically least.  `deepest` is the most members coloured
+    at a node that propagation kept.
     """
     n = len(members)
     if not n:
         return _Run([], True, 0, 0, 0, 0)
     product = system is TripleSystem.PRODUCT
-    close = _product_pairs(members) if product else {}
     dsum = system is TripleSystem.DOUBLE_SUM
-    # y's half is barred from y's class: y = a + a for y even, and under
-    # the double sum y = a + a + 1 for y odd
-    parity = 0 if dsum else 1
-    colours = tuple(range(k))
     hi = members[-1]
-    cap = math.inf if node_limit is None else node_limit
+    if product:
+        close = _product_pairs(members)
+    else:
+        # own[y]: y's reversed bit (hi - y) and the bit of y's half, which is
+        # barred from y's class (y = a + a for y even, and under the double
+        # sum y = a + a + 1 for y odd); filled at y's first insertion, so a
+        # long ground pays only for the members the search reaches
+        parity = 0 if dsum else 1
+        own: dict[int, tuple[int, int]] = {}
+    colours = tuple(range(k))
+    slices = tuple(range(k - 2, 0, -1))
+    cap = sys.maxsize if node_limit is None else node_limit
+    # conflict weights: wt[b] counts the prunes whose lowest dead member was
+    # b, and hot[j] holds the members whose weight has reached 2^j
+    wt: dict[int, int] = {}
+    hot: list[int] = []
     barred = 1 << 1 if product and members[0] == 1 else 0   # 1 * 1 = 1
     # per depth: the state its node left (forbid words, class masks, classes
     # reversed as bits hi - s for the sum systems, free members, colours in
@@ -210,12 +232,13 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                 if mj & p:
                     fj |= q
         else:
-            rj = rl[c] | 1 << (hi - x)
+            o = own.get(x)
+            if o is None:
+                o = own[x] = 1 << (hi - x), 0 if x & parity else 1 << (x >> 1)
+            rj = rl[c] | o[0]
             m = mj << x                               # s + x
             r = mj >> x | rj >> (hi - x)              # |s - x|
-            fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r)
-            if not x & parity:
-                fj |= 1 << (x >> 1)                   # x's half
+            fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r) | o[1]
             rl[c] = rj
         fl[c] = fj
         ml[c] = mj
@@ -253,12 +276,13 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                             if mj & p:
                                 fj |= q
                     else:
-                        rj |= 1 << (hi - y)
+                        o = own.get(y)
+                        if o is None:
+                            o = own[y] = 1 << (hi - y), 0 if y & parity else 1 << (y >> 1)
+                        rj |= o[0]
                         m = mj << y
                         r = mj >> y | rj >> (hi - y)
-                        fj |= m | m << 1 | r | r >> 1 if dsum else m | r
-                        if not y & parity:
-                            fj |= 1 << (y >> 1)
+                        fj |= (m | m << 1 | r | r >> 1 if dsum else m | r) | o[1]
                 fl[j] = fj
                 ml[j] = mj
                 rl[j] = rj
@@ -268,6 +292,15 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                 break
         if dead:
             prunes += 1
+            b = dead & -dead
+            w = wt.get(b, 0) + 1
+            wt[b] = w
+            if not w & (w - 1):                       # w = 2^j
+                j = w.bit_length() - 1
+                if j == len(hot):
+                    hot.append(b)
+                else:
+                    hot[j] |= b
             continue
         if not free:
             colour_of = {}
@@ -290,12 +323,17 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
             # t up to k - 2, as no member with fewer than two colours is left
             level = [free] + [0] * (k - 2)
             for g in fl:
-                for t in range(k - 2, 0, -1):
+                for t in slices:
                     level[t] |= level[t - 1] & g
             t = k - 2
             while not level[t]:
                 t -= 1
             g = level[t]
+            # a tie goes to the members of the highest weight bucket in it
+            for h in reversed(hot):
+                if g & h:
+                    g &= h
+                    break
         stack.append((fl, ml, rl, free, u, (g & -g).bit_length() - 1))
         nxt.append(0)
     return _Run(found, complete, nodes, prunes, forced, deepest)

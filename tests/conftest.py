@@ -81,6 +81,27 @@ def brute_least_good(members, k, system):
     return None
 
 
+def brute_least_good_pruned(members, k, system):
+    """`brute_least_good`'s colouring, or None, by the same walk over the
+    canonical colour sequences in lexicographic order, except that a
+    prefix with a monochromatic triple is cut with every sequence that
+    extends it: the triple stays monochromatic in each of them."""
+    members = sorted(members)
+    assign = []
+
+    def walk():
+        if len(assign) == len(members):
+            return True
+        for c in range(1, min(max(assign, default=0) + 1, k) + 1):
+            assign.append(c)
+            if not brute_mono_triples(dict(zip(members, assign)), system) and walk():
+                return True
+            assign.pop()
+        return False
+
+    return dict(zip(members, assign)) if walk() else None
+
+
 def brute_min_mono(members, k, system) -> tuple:
     """(minimum count, lexicographically least minimising colours) over all
     k^|members| colourings, colours listed by increasing member."""

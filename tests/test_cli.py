@@ -191,7 +191,7 @@ class TestExitCodes:
                                 "nodes_explored", "prunes", "forced",
                                 "ns_per_node", "elapsed_s"]
         assert (report["value"], report["nodes_explored"], report["prunes"],
-                report["forced"]) == ("14", "126", "29", "126")
+                report["forced"]) == ("14", "123", "28", "138")
         assert int(report["ns_per_node"]) > 0
 
     @pytest.mark.parametrize("limit", ["-1", "-50"])

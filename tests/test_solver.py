@@ -31,6 +31,7 @@ from prodschur import counting
 from conftest import (
     brute_exists_good,
     brute_least_good,
+    brute_least_good_pruned,
     brute_max_good_subset,
     brute_mono_triples,
 )
@@ -164,20 +165,23 @@ class TestExistsGoodColouring:
         """Bit words grow with the top member, never a table over all values.
 
         {2, 4, ..., 2^20} has 20 members; a 1 << v table for every v up to
-        2^20 would need about 73 GB.  The child runs with its address space
-        capped at 512 MB above its size after import.
+        2^20 would need about 73 GB.  [1, 10^5] under sums is refuted near
+        its bottom; a reversed bit and a half bit built up front for every
+        member would need about 0.9 GB.  The child runs with its address
+        space capped at 512 MB above its size after import.
         """
         script = textwrap.dedent("""
             import json, os, resource
             from prodschur.core import IntegerSubset, Interval, TripleSystem
-            from prodschur.solver import _goal_search, exists_good_colouring
+            from prodschur.solver import _goal_search, exists_good_colouring, is_k_schur
             with open("/proc/self/statm") as f:
                 size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
             resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), hard))
             powers = [2 ** e for e in range(1, 21)]
             ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
-            out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None}
+            out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None,
+                   "long": is_k_schur(IntegerSubset.full(1, 10 ** 5), 3, TripleSystem.SUM)}
             for k in (2, 3):
                 for least in (False, True):
                     prod = _goal_search(powers, k, TripleSystem.PRODUCT, least=least)
@@ -191,7 +195,7 @@ class TestExistsGoodColouring:
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
-        assert out == {"none": True, "2False": True, "2True": True,
+        assert out == {"none": True, "long": True, "2False": True, "2True": True,
                        "3False": True, "3True": True}
 
 
@@ -275,8 +279,8 @@ class TestPinnedSearchOrder:
     S3_WITNESS = [1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1]
 
     @pytest.mark.parametrize("system,nodes,prunes,forced", [
-        (SUM, 126, 29, 126), (DSUM, 92, 14, 101),
-    ])
+        (SUM, 123, 28, 138), (DSUM, 82, 9, 84),
+    ], ids=["sum", "double-sum"])
     def test_schur_number_k3(self, system, nodes, prunes, forced):
         out = schur_number(3, system)
         assert out.value == 14
@@ -308,16 +312,17 @@ class TestPinnedSearchOrder:
 
 
 class TestGoalSearch:
-    """The sum systems' goal search: most constrained member first, forced
-    members settled in place."""
+    """The sum systems' goal search: most constrained member first, ties to
+    the members that caused the most prunes, forced members settled in
+    place."""
 
     @pytest.mark.parametrize("n,k,system,nodes,prunes,forced,good", [
-        (41, 4, DSUM, 20229, 10427, 51747, False),
-        (44, 4, SUM, 9523, 4886, 20195, True),
-        (14, 3, SUM, 32, 16, 55, False),
-        (14, 3, DSUM, 28, 14, 61, False),
-        (13, 3, SUM, 10, 2, 11, True),
-    ])
+        (41, 4, DSUM, 3647, 1859, 10706, False),
+        (44, 4, SUM, 2807, 1408, 7825, True),
+        (14, 3, SUM, 32, 16, 66, False),
+        (14, 3, DSUM, 18, 9, 44, False),
+        (13, 3, SUM, 9, 2, 13, True),
+    ], ids=["41-4-double-sum", "44-4-sum", "14-3-sum", "14-3-double-sum", "13-3-sum"])
     def test_pinned_counts(self, n, k, system, nodes, prunes, forced, good):
         """[1, 14] has no good 3-colouring under either sum system (S(3) =
         S'(3) = 14).  Coloured out of order, 6 can join a class before 3,
@@ -346,6 +351,37 @@ class TestGoalSearch:
         assert not brute_exists_good(members, 2, system)
         ground = IntegerSubset.from_members(Interval(members[0], members[-1]), members)
         assert exists_good_colouring(ground, 2, system) is None
+
+    def test_default_rule_matches_enumeration(self):
+        """Once a node is pruned, the default rule breaks ties by conflict
+        weight.  It agrees with enumeration on existence on [1, n] for
+        n <= 14 at k = 3 under both sum systems, and on 120 seeded gappy
+        grounds (k = 2 on up to 16 members, k = 3 on up to 10, every
+        system); each colouring it finds has no monochromatic triple."""
+        cases = [(list(range(1, n + 1)), 3, system)
+                 for n in range(1, 15) for system in (SUM, DSUM)]
+        rng = random.Random(2004)
+        for i in range(120):
+            k = (2, 3)[i % 2]
+            system = (SUM, DSUM, PROD)[i // 2 % 3]
+            size = rng.randint(6, 16 if k == 2 else 10)
+            lo = rng.randint(1, 4)
+            members = sorted(rng.sample(range(lo, lo + 2 * size + rng.randint(0, size)),
+                                        size))
+            cases.append((members, k, system))
+        weighted = 0
+        for members, k, system in cases:
+            run = _goal_search(members, k, system)
+            assert run.complete
+            good = brute_least_good_pruned(members, k, system) is not None
+            if len(members) <= 8:   # the pruned walk against plain enumeration
+                assert good == brute_exists_good(members, k, system)
+            assert (run.found is not None) == good, (members, k, system)
+            if good:
+                colour_of = dict(zip(members, run.found))
+                assert brute_mono_triples(colour_of, system) == [], (members, k, system)
+            weighted += run.prunes >= 2
+        assert weighted >= 10   # runs whose later ties met conflict weights
 
     def test_matches_increasing_order_search(self):
         """200 seeded gappy grounds of 15-30 members under the sum systems,
