@@ -26,6 +26,8 @@ from .counting import erdos_ford_delta, has_mono_triple
 KNOWN_SCHUR = {1: 2, 2: 5, 3: 14, 4: 45}
 KNOWN_DOUBLE_SUM_SCHUR = {1: 2, 2: 5, 3: 14, 4: 41}
 
+_ALPHA_TOL = 1e-15  # alpha_for_rate's bisection stops at a bracket this narrow
+
 
 def divisor_interval_rate(alpha: float) -> float:
     """Rate r(alpha) = alpha^(1/delta) / (4 (ln(1/alpha))^(3/(2 delta))).
@@ -49,7 +51,7 @@ def threshold_exponent_offset(alpha: float) -> float:
     return r / (1.0 + 2.0 * r)
 
 
-def alpha_for_rate(target: float, tol: float = 1e-15) -> float:
+def alpha_for_rate(target: float) -> float:
     """Inverse of divisor_interval_rate by bisection on its monotone branch."""
     if target <= 0:
         raise ValueError("target rate must be positive")
@@ -62,7 +64,7 @@ def alpha_for_rate(target: float, tol: float = 1e-15) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < _ALPHA_TOL:
             break
     return (lo + hi) / 2.0
 

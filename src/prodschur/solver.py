@@ -25,9 +25,9 @@ of the class mask and of a reversed class mask (bit hi-s for member s).
 Under the product system the ground's triples are read once, from the
 rows of `core._mono_rows`, as per-member pairs (p, q) of bits: y's class
 holding p bars q from it.  A triple ab = c of three distinct members
-gives each of them two pairs, and a*a = a^2 and 1*b = b give each of
-their two members (its own bit, the other's bit).  1*1 = 1 is a triple
-too, so 1 takes no colour: it starts forbidden in every class.
+gives each of them two pairs, and a*a = a^2 gives each of its two
+members (its own bit, the other's bit).  1*1 = 1 closes in every class,
+so a product ground holding 1 is refuted before any set-up.
 
 A node gives one member a colour, then settles every free member with
 exactly one colour left in its class, as real assignments of that node,
@@ -117,26 +117,23 @@ class _Run(NamedTuple):
     deepest: int                 # most members coloured at one node
 
 
-def _product_pairs(members: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-    """Per member y of the increasing `members`, the pairs (p, q) of member
-    bits such that y's class holding p bars q from it, one pair for each
-    way y closes a product triple of the ground.  1 * 1 = 1 gives none:
-    the caller bars 1 from every class.  The pairs share one bit object
-    per member, so their memory grows with the triples, not with the
-    triples times hi."""
+def _product_pairs(members: Sequence[int], ones: np.ndarray
+                   ) -> dict[int, list[tuple[int, int]]]:
+    """Per member y of the increasing `members` (1 not among them), the
+    pairs (p, q) of member bits such that y's class holding p bars q from
+    it, one pair for each way y closes a product triple of the ground read
+    from its 0/1 indicator `ones`.  The pairs share one bit object per
+    member, but those objects alone hold sum(y) bits, O(n * hi) on an
+    interval."""
     hi = members[-1]
-    ones = np.zeros(hi + 1, dtype=np.int8)
-    ones[members] = 1  # one colour class: every product triple of the ground
     bit = {y: 1 << y for y in members}
     close: dict[int, list[tuple[int, int]]] = {y: [] for y in members}
     for a, b0, _, mask in _mono_rows(ones, hi, TripleSystem.PRODUCT):
         pa = bit[a]
         for b in (np.flatnonzero(mask) + b0).tolist():
             c = a * b
-            if a == c:                                # 1 * 1 = 1
-                continue
             pb, pc = bit[b], bit[c]
-            if a == b or b == c:                      # a * a = c, 1 * b = b
+            if a == b:                                # a * a = c
                 close[a].append((pa, pc))
                 close[c].append((pc, pa))
             else:
@@ -165,10 +162,14 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     if not n:
         return _Run([], True, 0, 0, 0, 0)
     product = system is TripleSystem.PRODUCT
+    if product and members[0] == 1:                   # 1 * 1 = 1 in every class
+        return _Run(None, True, 0, 0, 0, 0)
     dsum = system is TripleSystem.DOUBLE_SUM
     hi = members[-1]
+    ind = np.zeros(hi + 1, dtype=bool)
+    ind[members] = True
     if product:
-        close = _product_pairs(members)
+        close = _product_pairs(members, ind.view(np.int8))
     else:
         # own[y]: y's reversed bit (hi - y) and the bit of y's half, which is
         # barred from y's class (y = a + a for y even, and under the double
@@ -183,13 +184,12 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     # b, and hot[j] holds the members whose weight has reached 2^j
     wt: dict[int, int] = {}
     hot: list[int] = []
-    barred = 1 << 1 if product and members[0] == 1 else 0   # 1 * 1 = 1
     # per depth: the state its node left (forbid words, class masks, classes
     # reversed as bits hi - s for the sum systems, free members, colours in
     # play) and the member it branches on; nxt[i] is the next colour to try
     # at depth i
-    stack = [([barred] * k, [0] * k, [0] * k, sum(1 << x for x in members), 0,
-              members[0])]
+    free = int.from_bytes(np.packbits(ind, bitorder="little").tobytes(), "little")
+    stack = [([0] * k, [0] * k, [0] * k, free, 0, members[0])]
     nxt = [0]
     nodes = prunes = forced = deepest = 0
     found = None
@@ -199,12 +199,8 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
         bx = 1 << x
         lim = u + 1 if u < k else k
         c = nxt[-1]
-        while c < lim and f[c] & bx:
+        while f[c] & bx:          # stops below lim: x is live, classes >= u are empty
             c += 1
-        if c == lim:
-            stack.pop()
-            nxt.pop()
-            continue
         if nodes >= cap:
             complete = False
             break

@@ -105,8 +105,16 @@ class TestExistsGoodColouring:
             is_k_schur(ground, 2, system)
 
     def test_product_ground_with_one_is_never_colourable(self):
-        ground = IntegerSubset.from_members(Interval(1, 4), [1, 3])
-        assert exists_good_colouring(ground, 3, PROD) is None
+        """1 * 1 = 1 closes in every class, so the goal search refutes such a
+        ground at once, under either branch rule, and enumeration agrees."""
+        for members in ([1], [1, 3], [1, 2, 3, 5]):
+            ground = IntegerSubset.from_members(Interval(1, members[-1]), members)
+            for k in (1, 2, 3):
+                for least in (False, True):
+                    assert _goal_search(members, k, PROD, least=least) == \
+                        _Run(None, True, 0, 0, 0, 0)
+                assert exists_good_colouring(ground, k, PROD) is None
+                assert not brute_exists_good(members, k, PROD)
 
     @pytest.mark.parametrize("lo,k,digest", [
         (4, 2, "66585660a15cb091"),
