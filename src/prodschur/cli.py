@@ -20,6 +20,7 @@ import io
 import json
 import math
 import platform
+import re
 import sys
 import time
 from typing import Optional
@@ -85,6 +86,11 @@ class _Parser(argparse.ArgumentParser):
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _MAX_DIGITS = 18  # every 18-digit decimal fits in int64
+# the text layer works a block at a time, so its temporaries stay a few MB
+# however long the artifact: the writer formats this many entries per block,
+# the parser reads newline-aligned blocks of about this many characters
+_BLOCK_ENTRIES = 1 << 14
+_BLOCK_CHARS = 1 << 17
 
 
 def _put_decimal(buf: np.ndarray, last: np.ndarray, x: np.ndarray) -> None:
@@ -103,16 +109,19 @@ def _put_decimal(buf: np.ndarray, last: np.ndarray, x: np.ndarray) -> None:
 
 def _pairs_to_text(header: str, first: np.ndarray, second: np.ndarray) -> str:
     """header, then one ``first second`` line per entry, every line ending in newline."""
-    first = np.asarray(first, dtype=np.int64)
-    second = np.asarray(second, dtype=np.int64)
-    w1 = np.searchsorted(_POW10[1:], first, side="right") + 1
-    w2 = np.searchsorted(_POW10[1:], second, side="right") + 1
-    ends = np.cumsum(w1 + w2 + 2)  # one past each line's newline
-    buf = np.full(int(ends[-1]) if len(ends) else 0, ord(" "), dtype=np.uint8)
-    buf[ends - 1] = ord("\n")
-    _put_decimal(buf, ends - w2 - 3, first)
-    _put_decimal(buf, ends - 2, second)
-    return header + "\n" + buf.tobytes().decode("ascii")
+    pieces = [header + "\n"]
+    for i in range(0, len(first), _BLOCK_ENTRIES):
+        a = np.asarray(first[i:i + _BLOCK_ENTRIES], dtype=np.int64)
+        b = np.asarray(second[i:i + _BLOCK_ENTRIES], dtype=np.int64)
+        w1 = np.searchsorted(_POW10[1:], a, side="right") + 1
+        w2 = np.searchsorted(_POW10[1:], b, side="right") + 1
+        ends = np.cumsum(w1 + w2 + 2)  # one past each line's newline
+        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        buf[ends - 1] = ord("\n")
+        _put_decimal(buf, ends - w2 - 3, a)
+        _put_decimal(buf, ends - 2, b)
+        pieces.append(buf.tobytes().decode("ascii"))
+    return "".join(pieces)
 
 
 def colouring_to_text(colouring: Colouring) -> str:
@@ -127,27 +136,37 @@ def subset_to_text(subset: IntegerSubset) -> str:
     iv = subset.interval
     members = subset.members()
     return _pairs_to_text(f"# interval {iv.lo} {iv.hi} 1",
-                          members, np.ones(len(members), dtype=np.int64))
+                          members, np.broadcast_to(np.int8(1), members.shape))
+
+
+# kinds of fault in a body, most urgent first; a non-ASCII character
+# outranks them all, and the header is checked before the body is read
+_JUNK, _TOKENS, _WIDTH, _OUTSIDE, _COLOUR = range(5)
+
+
+class _Fault(Exception):
+    """A fault in a colouring text body; its ``args`` are its kind and message."""
 
 
 def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``element colour`` lines of `body`; blank lines are skipped.
 
     `first_line` is the 1-based line number of the body's first line,
-    used in error messages.
+    used in error messages.  Raises `_Fault` for the first fault of the
+    most urgent kind in `body`.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
     digit = (buf - np.uint8(ord("0"))) < 10
     is_nl = buf == ord("\n")
 
-    def bad_line(line: int, why: str) -> ValueError:
+    def bad_line(kind: int, line: int, why: str) -> _Fault:
         text = body.split(b"\n", line + 1)[line].decode("ascii", "replace").strip()
-        return ValueError(f"line {first_line + line}: {why}, got {text!r}")
+        return _Fault(kind, f"line {first_line + line}: {why}, got {text!r}")
 
     junk = ~(digit | is_nl | (buf == ord(" ")) | (buf == ord("\r")) | (buf == ord("\t")))
     if junk.any():
         line = int(np.count_nonzero(is_nl[:np.argmax(junk)]))
-        raise bad_line(line, "expected 'element colour' as two non-negative integers")
+        raise bad_line(_JUNK, line, "expected 'element colour' as two non-negative integers")
     edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
     start = edge[:-1] == 1
     # tokens per line: walk the token starts and newlines in text order
@@ -157,12 +176,14 @@ def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
     per_line = np.bincount(line_of)
     odd = (per_line != 0) & (per_line != 2)
     if odd.any():
-        raise bad_line(int(np.argmax(odd)), "expected one 'element colour' pair")
+        raise bad_line(_TOKENS, int(np.argmax(odd)), "expected one 'element colour' pair")
     width = np.flatnonzero(edge == -1) - events[~ev_nl]
     too_long = width > _MAX_DIGITS
     if too_long.any():
-        raise bad_line(int(line_of[np.argmax(too_long)]),
+        raise bad_line(_WIDTH, int(line_of[np.argmax(too_long)]),
                        f"integer longer than {_MAX_DIGITS} digits")
+    if not len(width):  # blank lines only, which fromstring would read as one 0
+        return width, width
     # only digits and whitespace are left, so the C parser reads every token
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     if len(values) != len(width):
@@ -173,14 +194,18 @@ def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
 def colouring_from_text(text: str) -> Colouring:
     """Parse the format `colouring_to_text` writes, rejecting anything else.
 
-    Raises ValueError for a header other than ``# interval lo hi k``, a
-    line other than two non-negative integers, a duplicate element, an
-    element outside [lo, hi] or a colour outside 1..k.  Elements may come
+    Raises ValueError, in this order of precedence, for a header other
+    than ``# interval lo hi k``, a non-ASCII character, a line other than
+    two non-negative integers, an element outside [lo, hi], a colour
+    outside 1..k or a duplicate element.  It names the first fault of its
+    kind in the text, and the least duplicated element.  Elements may come
     in any order; blank lines are skipped.
     """
-    stripped = text.lstrip()
-    lead = text[:len(text) - len(stripped)].count("\n")
-    head, _, body = stripped.partition("\n")
+    start = re.match(r"\s*", text).end()  # what str.lstrip strips, found without a copy
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    head = text[start:end]
     tokens = head.split()
     try:
         if len(tokens) != 5 or tokens[:2] != ["#", "interval"]:
@@ -192,23 +217,55 @@ def colouring_from_text(text: str) -> Colouring:
     iv = Interval(lo, hi)
     if not 1 <= k <= 127:
         raise ValueError(f"colour count k={k} out of supported range 1..127")
-    # a non-ASCII character raises UnicodeEncodeError, a ValueError
-    elems, colours = _parse_pairs(body.encode("ascii"), lead + 2)
-    outside = (elems < lo) | (elems > hi)
-    if outside.any():
-        raise ValueError(f"element {elems[outside][0]} outside [{lo}, {hi}]")
-    bad = (colours < 1) | (colours > k)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"element {elems[i]} has colour {colours[i]} outside 1..{k}")
-    col = np.zeros(len(iv), dtype=np.int8)
-    col[elems - lo] = colours
-    member = col > 0
-    if np.count_nonzero(member) != len(elems):
-        srt = np.sort(elems)
-        dup = srt[1:][srt[1:] == srt[:-1]][0]
+    fault, dup, no_room = None, None, None
+    try:
+        col = np.zeros(len(iv), dtype=np.int8)
+    except MemoryError as e:  # raised once the body is known to have no fault
+        no_room = e
+    line = text.count("\n", 0, start) + 2  # 1-based number of the block's first line
+    body = pos = end + 1
+    while pos < len(text):
+        # end the block after its last newline, or after its first for a long line
+        stop = (text.rfind("\n", pos, pos + _BLOCK_CHARS) + 1
+                or text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text))
+        try:
+            block = text[pos:stop].encode("ascii")
+        except UnicodeEncodeError as e:  # as the encoder reports it for the whole body
+            raise UnicodeEncodeError(e.encoding, text[body:], e.start + pos - body,
+                                     e.end + pos - body, e.reason) from None
+        try:
+            elems, colours = _parse_pairs(block, line)
+            outside = (elems < lo) | (elems > hi)
+            if outside.any():
+                raise _Fault(_OUTSIDE, f"element {elems[outside][0]} outside [{lo}, {hi}]")
+            bad = (colours < 1) | (colours > k)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise _Fault(_COLOUR,
+                             f"element {elems[i]} has colour {colours[i]} outside 1..{k}")
+        except _Fault as f:
+            if fault is None or f.args[0] < fault.args[0]:
+                fault = f
+        else:
+            if fault is None and no_room is None:  # what can still end in a duplicate
+                slot = elems - lo
+                twice = elems[col[slot] != 0]  # set by an earlier block
+                if not (slot[1:] > slot[:-1]).all():
+                    srt = np.sort(elems)
+                    twice = np.concatenate((twice, srt[1:][srt[1:] == srt[:-1]]))
+                if len(twice):
+                    least = int(twice.min())
+                    dup = least if dup is None else min(dup, least)
+                col[slot] = colours
+        line += block.count(b"\n")
+        pos = stop
+    if fault is not None:
+        raise ValueError(fault.args[1])
+    if no_room is not None:
+        raise no_room
+    if dup is not None:
         raise ValueError(f"duplicate element {dup}")
-    return Colouring(IntegerSubset(iv, member), k, col)
+    return Colouring(IntegerSubset._adopt(iv, col > 0), k, col)
 
 
 # ---------------------------------------------------------------------------

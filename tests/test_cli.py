@@ -2,8 +2,10 @@ import json
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,11 @@ from prodschur.cli import (
     subset_to_text,
 )
 from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
-from prodschur.constructions import mod5_colouring, verify_colouring_free
+from prodschur.constructions import (
+    mod5_colouring,
+    product_free_colouring,
+    verify_colouring_free,
+)
 from conftest import brute_mono_triples
 
 
@@ -168,6 +174,130 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             colouring_from_text("1 1\n2 2\n")
+
+    @pytest.mark.parametrize("body", ["\n", "  \n\n", "\r\n", "\t"])
+    def test_blank_body_is_an_empty_colouring(self, body):
+        empty = Colouring(IntegerSubset.from_members(Interval(1, 5), []), 2,
+                          np.zeros(5, dtype=np.int8))
+        assert colouring_from_text("# interval 1 5 2\n" + body) == empty
+
+
+# a line with one fault of each kind, and the message that kind raises
+FAULTS = {
+    "non-ascii": (lambda rnd, lo, hi, k: rnd.choice(["١ 1", "%d 1é" % lo]),
+                  "'ascii' codec"),
+    "junk": (lambda rnd, lo, hi, k: rnd.choice(["%d x" % lo, "-%d 1" % lo, "# note"]),
+             "expected 'element colour' as two"),
+    "tokens": (lambda rnd, lo, hi, k: rnd.choice(["%d" % lo, "%d 1 1" % lo]),
+               "expected one 'element colour' pair"),
+    "width": (lambda rnd, lo, hi, k: "1" * 19 + " 1", "longer than 18 digits"),
+    "outside": (lambda rnd, lo, hi, k: "%d 1" % (hi + rnd.randint(1, 9)), "outside \\["),
+    "colour": (lambda rnd, lo, hi, k: "%d %d" % (rnd.randint(lo, hi), rnd.choice([0, k + 1])),
+               "has colour"),
+}
+
+
+def parse_outcome(text):
+    """The colouring parsed from `text`, or the type and message it raised."""
+    try:
+        return colouring_from_text(text)
+    except ValueError as e:  # UnicodeEncodeError is one too
+        return type(e), str(e)
+
+
+def faulty_text(rnd, kinds):
+    """A colouring text with blank, CRLF and leading blank lines, shuffled
+    lines, and one fault of each of `kinds` (``duplicate`` repeats a line)."""
+    lo, k = rnd.randint(1, 50), rnd.randint(1, 9)
+    hi = lo + rnd.randint(0, 40)
+    lines = ["%d %d" % (m, rnd.randint(1, k)) for m in range(lo, hi + 1)
+             if rnd.random() < 0.5]
+    if rnd.random() < 0.5:
+        rnd.shuffle(lines)
+    for kind in kinds:
+        at = rnd.choice([0, len(lines), len(lines) // 2, rnd.randint(0, len(lines))])
+        if kind == "duplicate":
+            lines.insert(at, rnd.choice(lines) if lines else "%d 1" % lo)
+            lines.insert(rnd.randint(0, len(lines)), lines[at])
+        else:
+            lines.insert(at, FAULTS[kind][0](rnd, lo, hi, k))
+    for _ in range(rnd.randint(0, 4)):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(["", "  ", "\t"]))
+    ends = [rnd.choice(["\n", "\n", "\r\n"]) for _ in lines]
+    if lines and rnd.random() < 0.2:
+        ends[-1] = ""
+    lead = rnd.choice(["", "\n", "\n \n", "\r\n\t", "\xa0\u2028\n"])
+    return (lead + "# interval %d %d %d\n" % (lo, hi, k)
+            + "".join(line + end for line, end in zip(lines, ends)))
+
+
+class TestBlocks:
+    """The text layer works in blocks, and no block size shows in what it returns."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parser_blocks_are_invisible(self, seed, monkeypatch):
+        rnd = random.Random(seed)
+        cases = []
+        for kinds in ([[]] * 10 + [[kind] for kind in [*FAULTS, "duplicate"]] * 3
+                      + [rnd.sample([*FAULTS, "duplicate"], rnd.randint(2, 4))
+                         for _ in range(30)]):
+            text = faulty_text(rnd, kinds)
+            assert len(text) < cli._BLOCK_CHARS  # so this is a one-block parse
+            want = parse_outcome(text)
+            if kinds == ["duplicate"]:
+                assert want[1].startswith("duplicate element")
+            elif len(kinds) == 1:
+                assert re.search(FAULTS[kinds[0]][1], want[1])
+            else:
+                assert isinstance(want, Colouring) == (not kinds)
+            cases.append((text, want))
+        for chars in (1, 2, 3, 5, 8, 13, 40):
+            monkeypatch.setattr(cli, "_BLOCK_CHARS", chars)
+            for text, want in cases:
+                assert parse_outcome(text) == want, (chars, text)
+
+    @pytest.mark.parametrize("chars", [4, 8, 1 << 20])
+    def test_least_duplicate_inside_and_across_blocks(self, chars, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", chars)
+        with pytest.raises(ValueError, match="^duplicate element 3$"):
+            colouring_from_text("# interval 1 20 2\n9 1\n9 2\n5 1\n3 1\n7 1\n3 2\n")
+
+    def test_body_fault_outranks_an_interval_too_long_to_hold(self):
+        # 10^16 one-byte colours exceed any address space, so nothing is allocated
+        with pytest.raises(ValueError, match="line 3: expected"):
+            colouring_from_text("# interval 1 %d 2\n1 1\n1 x\n" % 10 ** 16)
+        with pytest.raises(MemoryError):
+            colouring_from_text("# interval 1 %d 2\n1 1\n1 1\n" % 10 ** 16)
+
+    @pytest.mark.parametrize("entries", [1, 2, 3, 7])
+    def test_writer_blocks_are_invisible(self, entries, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ENTRIES", entries)
+        rnd = random.Random(entries)
+        for _ in range(10):
+            lo = rnd.choice([1, 9, 95, 999])
+            hi = lo + rnd.choice([0, 1, 30])
+            k = rnd.choice([1, 9, 10, 127])
+            colour_of, col = random_colouring(rnd, lo, hi, k, rnd.choice([0.0, 0.3, 1.0]))
+            assert colouring_to_text(col) == reference_text(lo, hi, k, colour_of)
+            assert subset_to_text(col.ground) == reference_text(
+                lo, hi, 1, dict.fromkeys(colour_of, 1))
+
+
+def test_text_io_peak_memory_is_a_small_multiple_of_the_text():
+    col = product_free_colouring(3, 2 * 10 ** 5 + 2)
+    assert col.ground.cardinality() == 2 * 10 ** 5
+
+    def peak(fn, arg):
+        tracemalloc.start()
+        try:
+            fn(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    text = colouring_to_text(col)
+    assert peak(colouring_from_text, text) <= 3 * len(text)
+    assert peak(colouring_to_text, col) <= 5 * len(text)
 
 
 class TestExitCodes:
@@ -366,7 +496,7 @@ class TestCommands:
         out = str(tmp_path / "artifact.txt")
         assert main([a.format(out=out) for a in argv]) == EXIT_OK
         if "--out" in argv:
-            manifest = json.loads(open(out + ".manifest.json").read())
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
         else:
             manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert manifest["version"] == __version__
