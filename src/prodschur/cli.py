@@ -125,10 +125,10 @@ def _pairs_to_text(header: str, first: np.ndarray, second: np.ndarray) -> str:
 
 
 def colouring_to_text(colouring: Colouring) -> str:
-    iv = colouring.ground.interval
-    members = colouring.ground.members()
+    ground = colouring.ground
+    iv = ground.interval
     return _pairs_to_text(f"# interval {iv.lo} {iv.hi} {colouring.k}",
-                          members, colouring.dense()[members])
+                          ground.members(), colouring._col[ground._ind])
 
 
 def subset_to_text(subset: IntegerSubset) -> str:
@@ -272,13 +272,13 @@ def colouring_from_text(text: str) -> Colouring:
 # manifest plumbing
 # ---------------------------------------------------------------------------
 
-def _manifest(args: argparse.Namespace, seed: Optional[int], wall: float,
-              timings: Optional[dict] = None) -> dict:
+def _manifest(args: argparse.Namespace, argv: list[str], seed: Optional[int],
+              wall: float, timings: Optional[dict] = None) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str)
                             .encode()).hexdigest()
     manifest = {
-        "command": " ".join(sys.argv),
+        "command": " ".join(argv),
         "config_digest": digest,
         "seed": seed,
         "version": __version__,
@@ -292,10 +292,11 @@ def _manifest(args: argparse.Namespace, seed: Optional[int], wall: float,
     return manifest
 
 
-def _emit(args: argparse.Namespace, payload: str, seed: Optional[int],
-          wall: float, timings: Optional[dict] = None) -> None:
-    """Write the payload and its manifest; `timings` are per-phase seconds."""
-    manifest = _manifest(args, seed, wall, timings)
+def _emit(args: argparse.Namespace, argv: list[str], payload: str,
+          seed: Optional[int], wall: float, timings: Optional[dict] = None) -> None:
+    """Write the payload and its manifest; `argv` is the command line `args`
+    were parsed from, `timings` are per-phase seconds."""
+    manifest = _manifest(args, argv, seed, wall, timings)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -325,7 +326,7 @@ def _records_to_csv(records, extra_cols: tuple[str, ...] = ()) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_schur(args) -> int:
+def _cmd_schur(args, argv: list[str]) -> int:
     system = TripleSystem.parse(args.system)
     config = SearchConfig(k=args.k, max_n=args.max_n, node_limit=args.node_limit)
     t0 = time.perf_counter()
@@ -341,11 +342,11 @@ def _cmd_schur(args) -> int:
     print(f"ns_per_node: {outcome.ns_per_node:.0f}")
     print(f"elapsed_s: {outcome.elapsed:.3f}")
     if outcome.witness is not None and args.out:
-        _emit(args, colouring_to_text(outcome.witness), None, wall)
+        _emit(args, argv, colouring_to_text(outcome.witness), None, wall)
     return EXIT_OK if outcome.conclusive else EXIT_INCONCLUSIVE
 
 
-def _cmd_gstar(args) -> int:
+def _cmd_gstar(args, argv: list[str]) -> int:
     bounds = max_non_schur_size_bounds(args.k, args.n, args.eps,
                                        s=args.s, s_prime=args.s_prime)
     print(f"lower: {bounds.lower}")
@@ -399,7 +400,7 @@ def _construction(args):
     raise _UsageError(f"unknown construction {name!r}")
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, argv: list[str]) -> int:
     build, report, to_text = _construction(args)
     t0 = time.perf_counter()
     obj = build()
@@ -411,11 +412,11 @@ def _cmd_construct(args) -> int:
     timings = {"build_s": round(t1 - t0, 6), "verify_s": round(t2 - t1, 6),
                "serialise_s": round(t3 - t2, 6)}
     print(text, end="", file=sys.stderr)
-    _emit(args, payload, None, t3 - t0, timings)
+    _emit(args, argv, payload, None, t3 - t0, timings)
     return EXIT_OK
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, argv: list[str]) -> int:
     what = args.what
     if what == "triples":
         if args.n < 2:  # the reference 0.5 n log n is 0 at n = 1
@@ -456,14 +457,11 @@ def _cmd_count(args) -> int:
         if not 0 <= args.drop <= args.n - 1:
             raise _UsageError(f"--drop must lie in [0, n - 1] = [0, {args.n - 1}], "
                               f"got {args.drop}")
-        A = IntegerSubset.full(2, args.n)
+        keep = np.ones(args.n - 1, dtype=bool)  # the carrier of [2, n]
         if args.drop:
             rng = _generator(derive_seed(args.seed, args.drop), salt=0)
-            keep = A.dense()
-            drop = rng.choice(np.arange(2, args.n + 1), size=args.drop,
-                              replace=False)
-            keep[drop] = False
-            A = IntegerSubset.from_dense(Interval(2, args.n), keep)
+            keep[rng.choice(args.n - 1, size=args.drop, replace=False)] = False
+        A = IntegerSubset._adopt(Interval(2, args.n), keep)
         count = supersaturation_count(A)
         print(f"count: {count}")
         print(f"size: {A.cardinality()}")
@@ -486,18 +484,19 @@ def _sweep_timings(records) -> dict:
             for k in records[0].timings}
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args, argv: list[str]) -> int:
     plan = SweepPlan(n=args.n, multipliers=_parse_multipliers(args.c),
                      trials=args.trials, master_seed=args.seed,
                      rule=ProbabilityRule.RANDOM_THRESHOLD)
     t0 = time.perf_counter()
     records = threshold_sweep(plan)
     wall = time.perf_counter() - t0
-    _emit(args, _records_to_csv(records), args.seed, wall, _sweep_timings(records))
+    _emit(args, argv, _records_to_csv(records), args.seed, wall,
+          _sweep_timings(records))
     return EXIT_OK
 
 
-def _cmd_perturbed(args) -> int:
+def _cmd_perturbed(args, argv: list[str]) -> int:
     alpha = args.alpha if args.alpha is not None else alpha_for_rate(0.25)
     t0 = time.perf_counter()
     records = perturbed_sweep(args.n, alpha, _parse_multipliers(args.c),
@@ -505,7 +504,7 @@ def _cmd_perturbed(args) -> int:
     wall = time.perf_counter() - t0
     payload = _records_to_csv(records,
                               extra_cols=("alpha", "beta_alpha", "blocker_size"))
-    _emit(args, payload, args.seed, wall, _sweep_timings(records))
+    _emit(args, argv, payload, args.seed, wall, _sweep_timings(records))
     return EXIT_OK
 
 
@@ -579,10 +578,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command line `argv` (default: this process's arguments)."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -191,15 +191,8 @@ def mod5_colouring(n: int) -> tuple[IntegerSubset, Colouring]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = np.arange(0, n + 1, dtype=np.int64)
-    res = values % 5
-    dense = res != 0
-    dense[0] = False
-    ground = IntegerSubset.from_dense(Interval(1, n), dense)
-    colours = np.zeros(n, dtype=np.int8)
-    inner = res[1:]
-    colours[(inner == 1) | (inner == 4)] = 1
-    colours[(inner == 2) | (inner == 3)] = 2
+    colours = np.array([0, 1, 2, 2, 1], dtype=np.int8)[np.arange(1, n + 1) % 5]
+    ground = IntegerSubset._adopt(Interval(1, n), colours > 0)
     return ground, Colouring(ground, 2, colours)
 
 
@@ -239,11 +232,9 @@ def perturbed_blocker_set(n: int, alpha: float) -> IntegerSubset:
     y = n ** (0.5 - beta)
     z = n ** (0.5 + beta)
     lo = math.ceil(n ** (1.0 - 2.0 * beta))
-    removed = counting.divisors_in_interval_indicator(n, y, z)
-    dense = np.zeros(n + 1, dtype=bool)
-    dense[lo:] = ~removed[lo:]
-    dense[:2] = False
-    return IntegerSubset.from_dense(Interval(2, n), dense)
+    members = ~counting.divisors_in_interval_indicator(n, y, z)[2:]
+    members[:lo - 2] = False  # lo >= n^(2/3) >= 4 in the range checked above
+    return IntegerSubset._adopt(Interval(2, n), members)
 
 
 def verify_colouring_free(colouring: Colouring, system: TripleSystem
@@ -253,7 +244,4 @@ def verify_colouring_free(colouring: Colouring, system: TripleSystem
     Listed by (a, b, c) from the shared row kernel; an empty list
     certifies the colouring.
     """
-    iv = colouring.ground.interval
-    col = colouring.dense()
-    _, violations = counting._mono_scan(col, iv.lo, iv.hi, system, collect=True)
-    return violations
+    return counting._mono_scan(colouring, system, collect=True)[1]

@@ -6,15 +6,21 @@ tests sit inside every hot loop (triple detection, sieves), so subsets
 are stored as flat indicator arrays over their carrier interval rather
 than as sorted element lists.
 
-Indicators follow one rule: an array handed in by a caller is copied
+Arrays have one layout: a subset's indicator and a colouring's colour
+array are carrier arrays, entry i standing for lo + i of the carrier
+interval [lo, hi].  The library reads them in place through `lo`, so a
+read costs O(hi - lo) however high the interval sits; `dense()` and
+`from_dense` convert to and from absolute arrays (index = integer value)
+for callers outside it.  An array handed in by a caller is copied
 (`IntegerSubset(...)`, `from_dense`), since the caller may keep mutating
 it; an array the library has just built is adopted without a copy
 (`IntegerSubset._adopt`).  Either way it is then read-only.  The row
-kernel `_mono_rows` reads a carrier's own array in place through its
-offset `lo`, so a Monte Carlo trial copies nothing between drawing a
-set and detecting a triple in it.  Its readers live in `counting` (the
-count and listing of monochromatic triples, and `has_mono_triple`, the
-first of them) and `randomlab` (product-triple detection).
+kernel `_mono_rows` lists the triples of a carrier array, so a Monte
+Carlo trial copies nothing between drawing a set and detecting a triple
+in it.  Its readers live in `counting` (the count and listing of
+monochromatic triples, and `has_mono_triple`, the first of them),
+`randomlab` (product-triple detection) and `solver` (a product ground's
+triples).
 """
 
 from __future__ import annotations
@@ -289,20 +295,18 @@ class ExperimentRecord:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int = 0,
+def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int,
                since: int = 0):
     """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi, c > since.
 
-    `col[i]` is the colour of lo + i (0 = absent), up to hi; lo = 0 means
-    an absolute colour array (index = integer value), lo > 0 a carrier's
-    own array read in place.  Walks a over the members in increasing
-    order and yields
-    (a, b, shift, mask), where mask[j] says that a, b + j and c share
-    a's colour: c = a(b + j) for products, with b + j <= hi // a;
-    c = a + b + j + shift for the sum systems, with shift 0, or 0 then 1
-    for the double sum.  b is the least partner >= a whose c exceeds
-    `since`, so a caller that has checked every c <= since reads only
-    the new triples.  Rows with no admissible partner are skipped.
+    `col[i]` is the colour of lo + i (0 = absent), up to hi: a carrier's
+    own array, read in place.  Walks a over the members in increasing
+    order and yields (a, b, shift, mask), where mask[j] says that a,
+    b + j and c share a's colour: c = a(b + j) for products, with
+    b + j <= hi // a; c = a + b + j + shift for the sum systems, with
+    shift 0, or 0 then 1 for the double sum.  b is the least partner >= a
+    whose c exceeds `since`, so a caller that has checked every c <= since
+    reads only the new triples.  Rows with no admissible partner are skipped.
     """
     if system is TripleSystem.PRODUCT:
         for i in np.flatnonzero(col[:max(math.isqrt(hi) + 1 - lo, 0)]):

@@ -3,9 +3,11 @@ branch-and-bound for the least number of monochromatic triples and for
 the largest subset with a good colouring.
 
 Monochromatic triples under a colouring have one listing, `_mono_scan`,
-read from the rows of `core._mono_rows`: `count_monochromatic` counts
-them, `constructions.verify_colouring_free` lists them, and
-`has_mono_triple` returns the first.
+read from the rows of `core._mono_rows` on the colouring's own carrier
+array: `count_monochromatic` counts them,
+`constructions.verify_colouring_free` lists them, and `has_mono_triple`
+returns the first.  A ground is always a carrier interval [lo, hi], so
+each costs O(hi - lo) memory, not O(hi).
 
 Counting conventions matter here: the census of product triples counts
 unordered pairs a <= b (split into off-diagonal a < b and diagonal
@@ -73,60 +75,61 @@ def count_product_triples(n: int) -> TripleCount:
 # monochromatic triples under a colouring
 # ---------------------------------------------------------------------------
 
-def _sum_count_fft(col: np.ndarray, lo: int, hi: int, double: bool) -> int:
+def _sum_count_fft(col: np.ndarray, lo: int, double: bool) -> int:
     """Monochromatic a+b=c (and, if `double`, a+b=c-1) triples, a <= b.
 
-    Per colour class F, the self-convolution g of F restricted to
-    [lo, hi-lo] counts ordered pairs (a, b) by a + b = t + 2lo, so the
-    ordered triples are sum_c F[c] g[c - 2lo] (c - 2lo - 1 for the shifted
-    equation).  The a <= b count is (ordered + diagonal) / 2.  O(n log n)
-    per colour; the float convolution is rounded only after checking
-    that it lies within 1/4 of an integer everywhere.
+    `col` is a carrier colour array over [lo, hi].  Per colour class F,
+    the self-convolution g of F restricted to [lo, hi-lo] counts ordered
+    pairs (a, b) by a + b = t + 2lo, so the ordered triples are
+    sum_c F[c] g[c - 2lo] (c - 2lo - 1 for the shifted equation).  The
+    a <= b count is (ordered + diagonal) / 2.  O(n log n) per colour; the
+    float convolution is rounded only after checking that it lies within
+    1/4 of an integer everywhere.
     """
-    m = hi - 2 * lo + 1  # number of sums a + b in [2lo, hi]
+    m = len(col) - lo  # number of sums a + b in [2lo, hi]
     if m < 1:
         return 0
     size = 1 << (2 * m - 1).bit_length()  # no wrap-around below index m
     doubled = 0  # ordered + diagonal, over all classes and equations
-    for colour in np.flatnonzero(np.bincount(col[lo:hi + 1])[1:]) + 1:
+    for colour in np.flatnonzero(np.bincount(col)[1:]) + 1:
         F = col == colour
-        g = np.fft.irfft(np.fft.rfft(F[lo:hi - lo + 1], size) ** 2, size)[:m]
+        g = np.fft.irfft(np.fft.rfft(F[:m], size) ** 2, size)[:m]
         rounded = np.rint(g)
         err = np.abs(g - rounded).max()
         if err >= 0.25:
             raise RuntimeError(f"sum convolution off an integer by {err:.3g}; "
                                f"count not exact")
         pairs = rounded.astype(np.int64)
-        doubled += int(pairs[F[2 * lo:hi + 1]].sum())
-        doubled += int(np.count_nonzero(F[lo:hi // 2 + 1] & F[2 * lo:hi + 1:2]))
+        doubled += int(pairs[F[lo:]].sum())
+        doubled += int(np.count_nonzero(F[:(m + 1) // 2] & F[lo::2]))
         if double:
-            doubled += int(pairs[:m - 1][F[2 * lo + 1:hi + 1]].sum())
-            doubled += int(np.count_nonzero(F[lo:(hi - 1) // 2 + 1]
-                                            & F[2 * lo + 1:hi + 1:2]))
+            doubled += int(pairs[:m - 1][F[lo + 1:]].sum())
+            doubled += int(np.count_nonzero(F[:m // 2] & F[lo + 1::2]))
     if doubled % 2:
         raise RuntimeError("ordered plus diagonal sum count is odd; count not exact")
     return doubled // 2
 
 
-def _mono_scan(col: np.ndarray, lo: int, hi: int, system: TripleSystem,
-               collect: bool) -> tuple[int, list[tuple[int, int, int]]]:
+def _mono_scan(colouring: Colouring, system: TripleSystem, collect: bool
+               ) -> tuple[int, list[tuple[int, int, int]]]:
     """Count (and optionally list) monochromatic triples with a <= b.
 
-    `col` is the absolute colour array (0 = not in the ground set).
-    Sum systems are counted by convolution and read from the rows of
-    `_mono_rows` only to list a non-zero count; products are counted
-    and listed from the rows.  Listings are ordered by (a, b, c).
+    Reads the colouring's carrier array in place.  Sum systems are
+    counted by convolution and read from the rows of `_mono_rows` only
+    to list a non-zero count; products are counted and listed from the
+    rows.  Listings are ordered by (a, b, c).
     """
+    col, iv = colouring._col, colouring.ground.interval
+    rows = _mono_rows(col, iv.hi, system, iv.lo)
     product = system is TripleSystem.PRODUCT
     if not product:
-        expected = _sum_count_fft(col, lo, hi, system is TripleSystem.DOUBLE_SUM)
+        expected = _sum_count_fft(col, iv.lo, system is TripleSystem.DOUBLE_SUM)
         if not collect or expected == 0:
             return expected, []
     elif not collect:
-        return sum(int(np.count_nonzero(mask))
-                   for *_, mask in _mono_rows(col, hi, system)), []
+        return sum(int(np.count_nonzero(mask)) for *_, mask in rows), []
     parts = [np.empty((3, 0), dtype=np.int64)]
-    for a, b0, shift, mask in _mono_rows(col, hi, system):
+    for a, b0, shift, mask in rows:
         b = np.flatnonzero(mask) + b0
         if len(b):
             parts.append(np.stack([np.full_like(b, a), b,
@@ -150,21 +153,13 @@ def has_mono_triple(colouring: Colouring, system: TripleSystem
     the library calls it on witnesses and base colourings, whose grounds
     are small.
     """
-    iv = colouring.ground.interval
-    col = colouring.dense()
-    _, triples = _mono_scan(col, iv.lo, iv.hi, system, collect=True)
-    if not triples:
-        return None
-    a, b, c = triples[0]
-    return a, b, c, int(col[a])
+    triples = _mono_scan(colouring, system, collect=True)[1]
+    return (*triples[0], colouring.colour_of(triples[0][0])) if triples else None
 
 
 def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
     """Exact number of monochromatic triples (a <= b) inside the ground set."""
-    iv = colouring.ground.interval
-    col = colouring.dense()
-    count, _ = _mono_scan(col, iv.lo, iv.hi, system, collect=False)
-    return count
+    return _mono_scan(colouring, system, collect=False)[0]
 
 
 # The branch-and-bound recurses once per member, so the cap keeps its depth far
@@ -198,9 +193,9 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     if m > _MONO_MAX_MEMBERS:
         raise ResourceGuardError(f"{m} members is beyond the exact search's "
                                  f"cap ({_MONO_MAX_MEMBERS})")
-    ones = np.zeros(n + 1, dtype=np.int8)
-    ones[lo:] = 1  # one colour class: every triple of the system in [lo, n]
-    _, triples = _mono_scan(ones, lo, n, system, collect=True)
+    # one colour class: every triple of the system in [lo, n]
+    ones = Colouring(IntegerSubset.full(lo, n), 1, np.ones(m, dtype=np.int8))
+    _, triples = _mono_scan(ones, system, collect=True)
     closing = [[] for _ in range(m)]  # member index -> pairs (a, b) it closes
     for a, b, c in triples:
         closing[c - lo].append((a - lo, b - lo))
@@ -253,10 +248,8 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
         raise ValueError(f"k must be >= 1, got {k}")
     ground = IntegerSubset.full(lo, n)
     if k == 1:
-        ones = np.zeros(n + 1, dtype=np.int8)
-        ones[lo:] = 1
-        count, _ = _mono_scan(ones, lo, n, system, collect=False)
-        return count, Colouring(ground, 1, ones[lo:])
+        ones = Colouring(ground, 1, np.ones(n - lo + 1, dtype=np.int8))
+        return _mono_scan(ones, system, collect=False)[0], ones
     best, best_colour = _branch_and_bound(n, k, system, leave_out=False)
     return best, Colouring(ground, k, np.array(best_colour) + 1)
 
@@ -347,12 +340,10 @@ def supersaturation_count(A: IntegerSubset) -> int:
     part, matching the ordered-count convention of the supersaturation
     argument, so the full set [2, n] scores (floor(sqrt n) - 1)^2.
     """
-    n = A.interval.hi
-    dense = A.dense()
-    r = math.isqrt(n)
-    small = np.flatnonzero(dense[:r + 1])
+    ind, lo, n = A._ind, A.interval.lo, A.interval.hi
+    small = np.flatnonzero(ind[:max(math.isqrt(n) + 1 - lo, 0)]) + lo
     small = small[small >= 2]
     total = 0
     for a in small:
-        total += int(np.count_nonzero(dense[int(a) * small]))
+        total += int(np.count_nonzero(ind[int(a) * small - lo]))
     return total

@@ -213,8 +213,7 @@ _GROWTH = 8           # factor by which each later check's prefix grows
 
 
 def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
-           rng: np.random.Generator, spent: list[float],
-           ind: Optional[np.ndarray] = None) -> bool:
+           rng: np.random.Generator, spent: list[float], ind: np.ndarray) -> bool:
     """Does blocker ∪ [2, n]_p contain a product triple?
 
     The sample is the one sample_random_subset draws from the stream
@@ -227,15 +226,13 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
     contains_product_triple(blocker ∪ sample).  Adds the seconds of each
     of `_PHASES` to `spent`.
 
-    Draws into `ind`, n - 1 bools all False, if given, else into a fresh
-    array; either way the array is all False again on return.
+    Draws into `ind`, n - 1 bools all False, which are all False again
+    on return.
     """
     if blocker is not None and blocker.interval != Interval(2, n):
         raise ValueError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
     clock = time.perf_counter
     size = n - 1
-    if ind is None:
-        ind = np.zeros(size, dtype=bool)
     col = ind.view(np.int8)
     walk = _GapWalk(ind, min(p, 1.0 - p), rng)
     done, target = 0, _FIRST_PREFIX
@@ -401,9 +398,7 @@ def degree_structure(Cprime: IntegerSubset, n: int, beta: float
         degrees[a] = deg
     v_count = vmax - 1
     avg = float(degrees.sum()) / v_count
-    x_dense = np.zeros(vmax + 1, dtype=bool)
-    x_dense[2:] = degrees[2:] > avg / 2.0
-    X = IntegerSubset.from_dense(Interval(2, vmax), x_dense)
+    X = IntegerSubset._adopt(Interval(2, vmax), degrees[2:] > avg / 2.0)
     x_size = X.cardinality()
     if x_size < avg / 2.0:
         raise RuntimeError(

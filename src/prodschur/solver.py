@@ -6,13 +6,15 @@ and `is_k_schur` on their ground, and `schur_number` on [1, n] for
 n = 1, 2, ... until some [1, n] has no good colouring.  Having one is
 monotone in n, so that n is S(k); one more search on [1, S - 1],
 branching on the lowest free member, gives the witness.
-`max_non_schur_subset` runs the branch-and-bound of `counting`.  Both
-backtracking searches keep, for each colour c, `forb[c]`: a bitmask of
-the values c may no longer take.  Colours appear in canonical order
-(colour c+1 may first appear only after colour c has), which is sound
-because colour classes are interchangeable.  Each search is one loop
-over an explicit per-depth stack, so its depth is not bounded by the
-interpreter's recursion limit.
+`max_non_schur_subset` runs the branch-and-bound of `counting`.  In both
+searches colours appear in canonical order (colour c+1 may first appear
+only after colour c has), which is sound because colour classes are
+interchangeable.  The goal search keeps, for each colour c, a forbid
+word: a bitmask of the values c may no longer take.  It is one loop over
+an explicit per-depth stack, so its depth is not bounded by the
+interpreter's recursion limit.  The branch-and-bound recurses once per
+member over a colour list, which is why it refuses grounds past
+`counting._MONO_MAX_MEMBERS` (200) members.
 
 `_goal_search`: members join classes out of order, so inserting y in
 class c forbids c at every member that would close a triple with y and
@@ -122,13 +124,13 @@ def _product_pairs(members: Sequence[int], ones: np.ndarray
     """Per member y of the increasing `members` (1 not among them), the
     pairs (p, q) of member bits such that y's class holding p bars q from
     it, one pair for each way y closes a product triple of the ground read
-    from its 0/1 indicator `ones`.  The pairs share one bit object per
-    member, but those objects alone hold sum(y) bits, O(n * hi) on an
-    interval."""
-    hi = members[-1]
+    from its 0/1 carrier indicator `ones` over [members[0], members[-1]].
+    The pairs share one bit object per member, but those objects alone
+    hold sum(y) bits, O(n * hi) on an interval."""
     bit = {y: 1 << y for y in members}
     close: dict[int, list[tuple[int, int]]] = {y: [] for y in members}
-    for a, b0, _, mask in _mono_rows(ones, hi, TripleSystem.PRODUCT):
+    for a, b0, _, mask in _mono_rows(ones, members[-1], TripleSystem.PRODUCT,
+                                     members[0]):
         pa = bit[a]
         for b in (np.flatnonzero(mask) + b0).tolist():
             c = a * b
@@ -165,9 +167,9 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     if product and members[0] == 1:                   # 1 * 1 = 1 in every class
         return _Run(None, True, 0, 0, 0, 0)
     dsum = system is TripleSystem.DOUBLE_SUM
-    hi = members[-1]
-    ind = np.zeros(hi + 1, dtype=bool)
-    ind[members] = True
+    lo, hi = members[0], members[-1]
+    ind = np.zeros(hi - lo + 1, dtype=bool)
+    ind[np.subtract(members, lo)] = True
     if product:
         close = _product_pairs(members, ind.view(np.int8))
     else:
@@ -188,7 +190,8 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     # reversed as bits hi - s for the sum systems, free members, colours in
     # play) and the member it branches on; nxt[i] is the next colour to try
     # at depth i
-    free = int.from_bytes(np.packbits(ind, bitorder="little").tobytes(), "little")
+    free = int.from_bytes(np.packbits(ind, bitorder="little").tobytes(),
+                          "little") << lo
     stack = [([0] * k, [0] * k, [0] * k, free, 0, members[0])]
     nxt = [0]
     nodes = prunes = forced = deepest = 0

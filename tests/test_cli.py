@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -466,6 +467,44 @@ class TestCommands:
         assert set(timings) == {"build_s", "verify_s", "serialise_s"}
         assert all(t >= 0 for t in timings.values())
         assert sum(timings.values()) <= manifest["wall_time_s"] + 0.002
+
+    def test_manifest_records_the_parsed_command_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """In-process calls record their own argv, not the host's; with no
+        argv, main parses and records the process's arguments.  The config
+        digest does not depend on how main was called."""
+        out = str(tmp_path / "eleven.txt")
+        argv = ["construct", "--name", "eleven", "--n", "11", "--out", out]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["command"] == " ".join(argv)
+        sweep = ["threshold", "--n", "500", "--c", "1", "--trials", "3", "--seed", "2"]
+        monkeypatch.setattr(sys, "argv", ["prodschur"] + sweep)
+        for call in (lambda: main(sweep), main):
+            capsys.readouterr()
+            assert call() == EXIT_OK
+            manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert manifest["command"] == " ".join(sweep)
+            assert manifest["config_digest"] == \
+                "632b64db5270d008c180ba1c92d14b9f4461e7a62093deba753c43cfce154a7d"
+
+    # sha256 of each construction's payload at a small n: artifacts are
+    # byte-identical for identical manifests, so these move only with a
+    # documented change of the format or of a construction
+    @pytest.mark.parametrize("argv,sha256", [
+        (["--name", "log-product", "--k", "3", "--n", "10000"],
+         "674823317b3d8dd57c7132a12ed3339093d72c023d2086b728162cd0f88f7a08"),
+        (["--name", "mod5", "--n", "1000"],
+         "5b043baa6f774a01ad0e99e79c87f129241b07b35b009447b36994602dd3b4f0"),
+        (["--name", "eleven", "--n", "1000"],
+         "1e7054c4a56cce723a513a3e4ae591995931478976c0c67bd9f3f474174991a3"),
+        (["--name", "blocker", "--alpha", "0.5226495409595402", "--n", "10000"],
+         "43c9dc2f9d995c756f6231886215bacb1b42f57d9427eb809e5fc41ad77d1dae")],
+        ids=["log-product", "mod5", "eleven", "blocker"])
+    def test_construct_payload_bytes_pinned(self, argv, sha256, tmp_path, capsys):
+        out = tmp_path / "payload.txt"
+        assert main(["construct", *argv, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("name,builder,system", [
         ("mod5", "mod5_colouring", TripleSystem.SUM),

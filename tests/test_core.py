@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodschur.constructions import verify_colouring_free
+from prodschur import cli
+from prodschur.constructions import (
+    eleven_interval_colouring,
+    mod5_colouring,
+    perturbed_blocker_set,
+    verify_colouring_free,
+)
 from prodschur.core import (
     Colouring,
     ExperimentRecord,
@@ -15,8 +21,14 @@ from prodschur.core import (
     TripleSystem,
     _mono_rows,
 )
-from prodschur.counting import count_monochromatic, has_mono_triple
+from prodschur.counting import (
+    count_monochromatic,
+    has_mono_triple,
+    min_monochromatic_bruteforce,
+    supersaturation_count,
+)
 from prodschur.randomlab import contains_product_triple, sample_random_subset
+from prodschur.solver import exists_good_colouring, max_non_schur_subset
 from conftest import (
     brute_contains_product,
     brute_first_mono,
@@ -143,7 +155,7 @@ class TestAdoptedIndicatorAgainstOracles:
             return [(a, b, shift, mask.tolist())
                     for a, b, shift, mask in _mono_rows(*args)]
 
-        assert rows(col[lo:], hi, system, lo) == rows(col, hi, system)
+        assert rows(col[lo:], hi, system, lo) == rows(col, hi, system, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(TripleSystem)), st.integers(1, 40), st.data())
@@ -353,6 +365,59 @@ class TestMonoRowsAgainstOracles:
         colouring = Colouring.from_map(ground, 1, colour_of)
         assert has_mono_triple(colouring, DSUM) == (3, 3, 7, 1)
         assert verify_colouring_free(colouring, DSUM) == [(3, 3, 7), (3, 5, 8)]
+
+
+class TestCarrierLayout:
+    """Readers and builders work on carrier arrays in place, never on an
+    array indexed by value from 0."""
+
+    def test_high_carrier(self):
+        """A colouring on [10^13, 10^13 + 3] costs four entries to read,
+        write and read back."""
+        lo = 10 ** 13
+        colour_of = {lo: 1, lo + 3: 1}
+        ground = IntegerSubset.from_members(Interval(lo, lo + 3), colour_of)
+        colouring = Colouring.from_map(ground, 2, colour_of)
+        for system in TripleSystem:
+            assert count_monochromatic(colouring, system) == 0
+            assert has_mono_triple(colouring, system) is None
+            assert verify_colouring_free(colouring, system) == []
+        text = cli.colouring_to_text(colouring)
+        assert text == f"# interval {lo} {lo + 3} 2\n{lo} 1\n{lo + 3} 1\n"
+        assert cli.colouring_from_text(text) == colouring
+
+    def test_no_absolute_arrays(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("an absolute array was built")
+
+        monkeypatch.setattr(Colouring, "dense", refuse)
+        monkeypatch.setattr(IntegerSubset, "dense", refuse)
+        monkeypatch.setattr(IntegerSubset, "from_dense", refuse)
+        ground, mod5 = mod5_colouring(60)
+        assert ground.cardinality() == 48
+        eleven = eleven_interval_colouring(40)
+        for colouring in (mod5, eleven):
+            for system in TripleSystem:
+                listing = verify_colouring_free(colouring, system)
+                assert count_monochromatic(colouring, system) == len(listing)
+                first = has_mono_triple(colouring, system)
+                assert (first and first[:3]) == (listing[0] if listing else None)
+                text = cli.colouring_to_text(colouring)
+                assert cli.colouring_from_text(text) == colouring
+        blocker = perturbed_blocker_set(10 ** 4, 0.5226495409595402)
+        assert blocker.cardinality() == 3483
+        assert not contains_product_triple(blocker)
+        assert supersaturation_count(blocker) == 0
+        for system in TripleSystem:
+            lo = 2 if system is PROD else 1
+            count, ones = min_monochromatic_bruteforce(50, 1, system)
+            assert count == count_monochromatic(ones, system) > 0
+            assert ones.ground == IntegerSubset.full(lo, 50)
+        assert max_non_schur_subset(10, 2, SUM)[0] == 8
+        assert exists_good_colouring(IntegerSubset.full(1, 13), 3, SUM) is not None
+        assert cli.main(["count", "--what", "supersat", "--n", "1000",
+                         "--drop", "49", "--seed", "5"]) == cli.EXIT_OK
+        assert "count: 791\nsize: 950\n" in capsys.readouterr().out
 
 
 class TestExperimentRecord:

@@ -20,6 +20,7 @@ from prodschur.counting import (
     count_product_triples,
     divisor_count_table,
     divisors_in_interval_indicator,
+    has_mono_triple,
     max_divisor_count,
     min_monochromatic_bruteforce,
     multiplication_table_count,
@@ -30,7 +31,8 @@ from prodschur.constructions import (
     mod5_colouring,
     verify_colouring_free,
 )
-from conftest import brute_has_divisor_in, brute_min_mono, brute_mono_triples
+from conftest import (brute_first_mono, brute_has_divisor_in, brute_min_mono,
+                      brute_mono_triples)
 
 SUM = TripleSystem.SUM
 DSUM = TripleSystem.DOUBLE_SUM
@@ -364,6 +366,26 @@ class TestCountMonochromatic:
                     (lo, hi, colour_of, system)
                 assert verify_colouring_free(colouring, system) == want
 
+    def test_products_match_bruteforce_on_offset_carriers(self, rng):
+        """Product counts, listings and first triples on carriers [lo, hi]
+        with lo > 1 and gaps, against the oracles."""
+        with_triples = 0
+        for _ in range(150):
+            lo = rng.randint(2, 12)
+            hi = lo + rng.randint(0, 150)
+            k = rng.randint(1, 3)
+            density = rng.choice([0.3, 0.7, 1.0])
+            colour_of = {m: rng.randint(1, k) for m in range(lo, hi + 1)
+                         if rng.random() < density}
+            ground = IntegerSubset.from_members(Interval(lo, hi), colour_of)
+            colouring = Colouring.from_map(ground, k, colour_of)
+            want = brute_mono_triples(colour_of, PROD)
+            assert count_monochromatic(colouring, PROD) == len(want), (lo, hi, colour_of)
+            assert verify_colouring_free(colouring, PROD) == want
+            assert has_mono_triple(colouring, PROD) == brute_first_mono(colour_of, PROD)
+            with_triples += bool(want)
+        assert with_triples >= 30
+
     def test_count_agrees_with_listing_at_1e4(self, rng):
         colour_of = {m: rng.randint(1, 3) for m in range(2, 10 ** 4 + 1)
                      if m % 7}
@@ -452,10 +474,10 @@ class TestMinMonochromatic:
     def _no_listing(monkeypatch):
         real = counting._mono_scan
 
-        def scan(col, lo, hi, system, collect):
+        def scan(colouring, system, collect):
             if collect:
                 raise AssertionError("triples listed")
-            return real(col, lo, hi, system, collect)
+            return real(colouring, system, collect)
 
         monkeypatch.setattr(counting, "_mono_scan", scan)
 
@@ -594,6 +616,23 @@ class TestSupersaturation:
     def test_empty_small_part(self):
         A = IntegerSubset.from_members(Interval(2, 100), [50, 60, 99])
         assert supersaturation_count(A) == 0
+
+    @pytest.mark.parametrize("lo", [1, 2, 3, 8, 9])
+    def test_brute_force_offset_carriers(self, lo, rng):
+        """Carriers [lo, 70]: from 1, whose member 1 is outside the small
+        part [2, 8], from 2 and 3, and from 9, above sqrt(70), with no
+        small part at all."""
+        n = 70
+        r = math.isqrt(n)
+        full = IntegerSubset.full(lo, n)
+        assert supersaturation_count(full) == max(r - max(lo, 2) + 1, 0) ** 2
+        for _ in range(30):
+            members = sorted(rng.sample(range(lo, n + 1), rng.randint(0, n - lo + 1)))
+            A = IntegerSubset.from_members(Interval(lo, n), members)
+            mem = set(members)
+            small = [m for m in members if 2 <= m <= r]
+            expected = sum(1 for a in small for b in small if a * b in mem)
+            assert supersaturation_count(A) == expected
 
     def test_brute_force_random_subsets(self, rng):
         n = 60

@@ -261,7 +261,8 @@ class TestThresholdSweep:
 
 def _trial(blocker, n, p, seed):
     """One sweep trial: does blocker ∪ [2, n]_p contain a product triple?"""
-    return randomlab._trial(n, p, blocker, randomlab._generator(seed), [0.0] * 3)
+    return randomlab._trial(n, p, blocker, randomlab._generator(seed), [0.0] * 3,
+                            np.zeros(n - 1, dtype=bool))
 
 
 class TestGenerator:
@@ -343,7 +344,8 @@ class TestEarlyExitTrial:
         """At n = 1e6, p = 1/2 a triple lies in the first prefix, so the
         trial reads a few hundred uniforms, not half a million."""
         rng = randomlab._generator(3)
-        assert randomlab._trial(10 ** 6, 0.5, None, rng, [0.0] * 3) is True
+        assert randomlab._trial(10 ** 6, 0.5, None, rng, [0.0] * 3,
+                                np.zeros(10 ** 6 - 1, dtype=bool)) is True
         words = 4 * int(rng.bit_generator.state["state"]["counter"][0])
         assert 0 < words < 2000  # one 64-bit word per uniform
 
