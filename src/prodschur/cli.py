@@ -386,18 +386,17 @@ def _construction(args):
                     f"monochromatic_sum_triples: {mono}\n"
                     f"reference_n2_over_22: {n * n / 22:.1f}\n")
         return lambda: eleven_interval_colouring(n), report, colouring_to_text
-    if name == "blocker":
-        if args.alpha is None:
-            raise _UsageError("--alpha is required for blocker")
+    # "blocker", the last of --name's choices, which argparse enforces
+    if args.alpha is None:
+        raise _UsageError("--alpha is required for blocker")
 
-        def report(subset):
-            triple_free = not contains_product_triple(subset)
-            return (f"construction: blocker n={n} alpha={args.alpha}\n"
-                    f"size: {subset.cardinality()} "
-                    f"(fraction {subset.cardinality() / n:.6f})\n"
-                    f"product_triple_free: {triple_free}\n")
-        return lambda: perturbed_blocker_set(n, args.alpha), report, subset_to_text
-    raise _UsageError(f"unknown construction {name!r}")
+    def report(subset):
+        triple_free = not contains_product_triple(subset)
+        return (f"construction: blocker n={n} alpha={args.alpha}\n"
+                f"size: {subset.cardinality()} "
+                f"(fraction {subset.cardinality() / n:.6f})\n"
+                f"product_triple_free: {triple_free}\n")
+    return lambda: perturbed_blocker_set(n, args.alpha), report, subset_to_text
 
 
 def _cmd_construct(args, argv: list[str]) -> int:
@@ -453,7 +452,7 @@ def _cmd_count(args, argv: list[str]) -> int:
             print(f"ratio: {est.ratio:.4f}")
         else:
             print("theta preconditions not met; exact count only")
-    elif what == "supersat":
+    else:  # "supersat", the last of --what's choices, which argparse enforces
         if not 0 <= args.drop <= args.n - 1:
             raise _UsageError(f"--drop must lie in [0, n - 1] = [0, {args.n - 1}], "
                               f"got {args.drop}")
@@ -466,8 +465,6 @@ def _cmd_count(args, argv: list[str]) -> int:
         print(f"count: {count}")
         print(f"size: {A.cardinality()}")
         print(f"reference_n_over_8: {args.n / 8:.1f}")
-    else:
-        raise _UsageError(f"unknown count target {what!r}")
     return EXIT_OK
 
 

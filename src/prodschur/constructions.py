@@ -147,9 +147,7 @@ def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> 
     ground = IntegerSubset.full(lo, n)
     elements = np.arange(lo, n + 1, dtype=np.int64)
     cell = np.searchsorted(bounds, elements, side="left")  # = index map, in [1, s-1]
-    base_dense = base.dense()
-    colours = base_dense[cell]
-    return Colouring(ground, k, colours)
+    return Colouring(ground, k, base._col[cell - 1])   # base carried on [1, s-1]
 
 
 class ExtremalSizeBounds(NamedTuple):

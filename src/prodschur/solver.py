@@ -10,11 +10,11 @@ branching on the lowest free member, gives the witness.
 searches colours appear in canonical order (colour c+1 may first appear
 only after colour c has), which is sound because colour classes are
 interchangeable.  The goal search keeps, for each colour c, a forbid
-word: a bitmask of the values c may no longer take.  It is one loop over
-an explicit per-depth stack, so its depth is not bounded by the
-interpreter's recursion limit.  The branch-and-bound recurses once per
-member over a colour list, which is why it refuses grounds past
-`counting._MONO_MAX_MEMBERS` (200) members.
+word: a bitmask of the members c may no longer take, bit i for the
+carrier entry lo + i.  It is one loop over an explicit per-depth stack,
+so its depth is not bounded by the interpreter's recursion limit.  The
+branch-and-bound recurses once per member over a colour list, which is
+why it refuses grounds past `counting._MONO_MAX_MEMBERS` (200) members.
 
 `_goal_search`: members join classes out of order, so inserting y in
 class c forbids c at every member that would close a triple with y and
@@ -24,12 +24,15 @@ Under the sum systems it is shift arithmetic on the class mask: s+y and
 sum), and y's half, since y may be a+a (or a+a+1 for the double sum).
 s+y is one left shift of the class mask; |s-y| comes from a right shift
 of the class mask and of a reversed class mask (bit hi-s for member s).
-Under the product system the ground's triples are read once, from the
-rows of `core._mono_rows`, as per-member pairs (p, q) of bits: y's class
-holding p bars q from it.  A triple ab = c of three distinct members
-gives each of them two pairs, and a*a = a^2 gives each of its two
-members (its own bit, the other's bit).  1*1 = 1 closes in every class,
-so a product ground holding 1 is refuted before any set-up.
+The class mask's shifts stop at the carrier's width hi - lo + 1: a
+longer one only moves bits past the carrier, where no forbid bit is
+read, so no word outgrows about twice that width.  Under the product
+system the ground's triples are read once, from the rows of
+`core._mono_rows`, as per-member pairs (p, q) of bits: y's class holding
+p bars q from it.  A triple ab = c of three distinct members gives each
+of them two pairs, and a*a = a^2 gives each of its two members (its own
+bit, the other's bit).  1*1 = 1 closes in every class, so a product
+ground holding 1 is refuted before any set-up.
 
 A node gives one member a colour, then settles every free member with
 exactly one colour left in its class, as real assignments of that node,
@@ -121,27 +124,27 @@ class _Run(NamedTuple):
 
 def _product_pairs(members: Sequence[int], ones: np.ndarray
                    ) -> dict[int, list[tuple[int, int]]]:
-    """Per member y of the increasing `members` (1 not among them), the
-    pairs (p, q) of member bits such that y's class holding p bars q from
-    it, one pair for each way y closes a product triple of the ground read
-    from its 0/1 carrier indicator `ones` over [members[0], members[-1]].
-    The pairs share one bit object per member, but those objects alone
-    hold sum(y) bits, O(n * hi) on an interval."""
-    bit = {y: 1 << y for y in members}
-    close: dict[int, list[tuple[int, int]]] = {y: [] for y in members}
-    for a, b0, _, mask in _mono_rows(ones, members[-1], TripleSystem.PRODUCT,
-                                     members[0]):
-        pa = bit[a]
+    """Per member y of the increasing `members` (1 not among them), keyed
+    by its carrier entry y - lo, the pairs (p, q) of member bits such that
+    y's class holding p bars q from it, one pair for each way y closes a
+    product triple of the ground read from its 0/1 carrier indicator `ones`
+    over [lo, members[-1]], lo = members[0].  The pairs share one bit
+    object per member, but those objects alone hold sum(y - lo) bits."""
+    lo = members[0]
+    bit = {y: 1 << (y - lo) for y in members}
+    close: dict[int, list[tuple[int, int]]] = {y - lo: [] for y in members}
+    for a, b0, _, mask in _mono_rows(ones, members[-1], TripleSystem.PRODUCT, lo):
+        pa, by_a = bit[a], close[a - lo]
         for b in (np.flatnonzero(mask) + b0).tolist():
             c = a * b
             pb, pc = bit[b], bit[c]
             if a == b:                                # a * a = c
-                close[a].append((pa, pc))
-                close[c].append((pc, pa))
+                by_a.append((pa, pc))
+                close[c - lo].append((pc, pa))
             else:
-                close[a] += (pb, pc), (pc, pb)
-                close[b] += (pa, pc), (pc, pa)
-                close[c] += (pa, pb), (pb, pa)
+                by_a += (pb, pc), (pc, pb)
+                close[b - lo] += (pa, pc), (pc, pa)
+                close[c - lo] += (pa, pb), (pb, pa)
     return close
 
 
@@ -173,12 +176,20 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     if product:
         close = _product_pairs(members, ind.view(np.int8))
     else:
-        # own[y]: y's reversed bit (hi - y) and the bit of y's half, which is
-        # barred from y's class (y = a + a for y even, and under the double
-        # sum y = a + a + 1 for y odd); filled at y's first insertion, so a
+        # own[i], for the member v = lo + i: the class mask's shift (clipped),
+        # v's reversed bit, the reversed mask's shift and the bit of v's half,
+        # barred from v's class (v = a + a for v even, and under the double
+        # sum v = a + a + 1 for v odd); filled at v's first insertion, so a
         # long ground pays only for the members the search reaches
         parity = 0 if dsum else 1
-        own: dict[int, tuple[int, int]] = {}
+        own: dict[int, tuple[int, int, int, int]] = {}
+
+        def own_of(i: int) -> tuple[int, int, int, int]:
+            v = lo + i
+            half = (v >> 1) - lo                      # its entry, if in the carrier
+            o = own[i] = (min(v, hi - lo + 1), 1 << (hi - v), hi + lo - v,
+                          0 if half < 0 or v & parity else 1 << half)
+            return o
     colours = tuple(range(k))
     slices = tuple(range(k - 2, 0, -1))
     cap = sys.maxsize if node_limit is None else node_limit
@@ -188,11 +199,10 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     hot: list[int] = []
     # per depth: the state its node left (forbid words, class masks, classes
     # reversed as bits hi - s for the sum systems, free members, colours in
-    # play) and the member it branches on; nxt[i] is the next colour to try
-    # at depth i
-    free = int.from_bytes(np.packbits(ind, bitorder="little").tobytes(),
-                          "little") << lo
-    stack = [([0] * k, [0] * k, [0] * k, free, 0, members[0])]
+    # play) and the member it branches on, all as carrier entries (bit i for
+    # lo + i); nxt[i] is the next colour to try at depth i
+    free = int.from_bytes(np.packbits(ind, bitorder="little").tobytes(), "little")
+    stack = [([0] * k, [0] * k, [0] * k, free, 0, 0)]
     nxt = [0]
     nodes = prunes = forced = deepest = 0
     found = None
@@ -231,13 +241,11 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                 if mj & p:
                     fj |= q
         else:
-            o = own.get(x)
-            if o is None:
-                o = own[x] = 1 << (hi - x), 0 if x & parity else 1 << (x >> 1)
-            rj = rl[c] | o[0]
-            m = mj << x                               # s + x
-            r = mj >> x | rj >> (hi - x)              # |s - x|
-            fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r) | o[1]
+            t, rb, rt, hb = own.get(x) or own_of(x)   # v = lo + x
+            rj = rl[c] | rb
+            m = mj << t                               # s + v
+            r = mj >> t | rj >> rt                    # |s - v|
+            fj = fl[c] | (m | m << 1 | r | r >> 1 if dsum else m | r) | hb
             rl[c] = rj
         fl[c] = fj
         ml[c] = mj
@@ -275,13 +283,11 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                             if mj & p:
                                 fj |= q
                     else:
-                        o = own.get(y)
-                        if o is None:
-                            o = own[y] = 1 << (hi - y), 0 if y & parity else 1 << (y >> 1)
-                        rj |= o[0]
-                        m = mj << y
-                        r = mj >> y | rj >> (hi - y)
-                        fj |= (m | m << 1 | r | r >> 1 if dsum else m | r) | o[1]
+                        t, rb, rt, hb = own.get(y) or own_of(y)
+                        rj |= rb
+                        m = mj << t
+                        r = mj >> t | rj >> rt
+                        fj |= (m | m << 1 | r | r >> 1 if dsum else m | r) | hb
                 fl[j] = fj
                 ml[j] = mj
                 rl[j] = rj
@@ -309,7 +315,7 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                     b = g & -g
                     colour_of[b.bit_length() - 1] = j
                     g ^= b
-            found = [colour_of[y] for y in members]
+            found = [colour_of[y - lo] for y in members]
             deepest = n
             break
         depth = n - free.bit_count()
@@ -345,11 +351,6 @@ def _check_search_args(k: int, node_limit: Optional[int]) -> None:
         raise ValueError("node_limit must be >= 0")
 
 
-def _colouring(ground: IntegerSubset, k: int, members: Sequence[int],
-               assign: list[int]) -> Colouring:
-    return Colouring.from_map(ground, k, {m: c + 1 for m, c in zip(members, assign)})
-
-
 def _rechecked(colouring: Colouring, system: TripleSystem) -> Colouring:
     """`colouring`, unless it has a monochromatic triple: then a search
     is at fault, and that is an internal error, not a result."""
@@ -370,13 +371,14 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
     member first; it need not be the lexicographically least.
     """
     _check_search_args(k, node_limit)
-    members = ground.members().tolist()
-    run = _goal_search(members, k, system, node_limit)
+    run = _goal_search(ground.members().tolist(), k, system, node_limit)
     if not run.complete:
         raise SearchInconclusive(run.nodes, run.deepest)
     if run.found is None:
         return None
-    return _rechecked(_colouring(ground, k, members, run.found), system)
+    col = ground._ind.astype(np.int8)
+    col[ground._ind] += run.found
+    return _rechecked(Colouring(ground, k, col), system)
 
 
 def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
@@ -445,8 +447,8 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
     top = len(good)
     witness = None
     if top:
-        witness = _rechecked(_colouring(IntegerSubset.full(1, top), k,
-                                        range(1, top + 1), good), system)
+        witness = _rechecked(Colouring(IntegerSubset.full(1, top), k,
+                                       np.add(good, 1)), system)
     return SolverOutcome(value=value, witness=witness, nodes_explored=nodes,
                          elapsed=elapsed, conclusive=value is not None,
                          lower_bound=top + 1, prunes=prunes, forced=forced)
@@ -491,7 +493,8 @@ def max_non_schur_subset(n: int, k: int, system: TripleSystem
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
     left_out, assign = _branch_and_bound(n, k, system, leave_out=True)
-    kept = {x: c + 1 for x, c in enumerate(assign, lo) if c < k}
-    ground = IntegerSubset.from_members(Interval(lo, n), list(kept))
-    colouring = _rechecked(Colouring.from_map(ground, k, kept), system)
+    col = np.add(assign, 1)
+    col[col > k] = 0                                  # left out
+    ground = IntegerSubset._adopt(Interval(lo, n), col > 0)
+    colouring = _rechecked(Colouring(ground, k, col), system)
     return n - lo + 1 - left_out, ground, colouring

@@ -309,6 +309,12 @@ class TestExitCodes:
     def test_bad_subcommand_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["count", "--what", "bogus", "--n", "10"],
+                                      ["construct", "--name", "bogus", "--n", "10"]])
+    def test_unknown_choice_is_usage(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_schur_ok(self, capsys):
         assert main(["schur", "--k", "2"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -11,6 +11,7 @@ from prodschur.constructions import (
     eleven_interval_colouring,
     mod5_colouring,
     perturbed_blocker_set,
+    product_free_colouring,
     verify_colouring_free,
 )
 from prodschur.core import (
@@ -404,6 +405,8 @@ class TestCarrierLayout:
                 assert (first and first[:3]) == (listing[0] if listing else None)
                 text = cli.colouring_to_text(colouring)
                 assert cli.colouring_from_text(text) == colouring
+        log_product = product_free_colouring(3, 1000)
+        assert count_monochromatic(log_product, TripleSystem.PRODUCT) == 0
         blocker = perturbed_blocker_set(10 ** 4, 0.5226495409595402)
         assert blocker.cardinality() == 3483
         assert not contains_product_triple(blocker)

@@ -175,8 +175,10 @@ class TestExistsGoodColouring:
         {2, 4, ..., 2^20} has 20 members; a 1 << v table for every v up to
         2^20 would need about 73 GB.  [1, 10^5] under sums is refuted near
         its bottom; a reversed bit and a half bit built up front for every
-        member would need about 0.9 GB.  The child runs with its address
-        space capped at 512 MB above its size after import.
+        member would need about 0.9 GB.  [10^13, 10^13 + 3] has a good
+        2-colouring under every system (2 * lo > hi and lo^2 > hi); bits
+        numbered by value would need over a terabyte.  The child runs with
+        its address space capped at 512 MB above its size after import.
         """
         script = textwrap.dedent("""
             import json, os, resource
@@ -190,6 +192,10 @@ class TestExistsGoodColouring:
             ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
             out = {"none": exists_good_colouring(ground, 2, TripleSystem.PRODUCT) is None,
                    "long": is_k_schur(IntegerSubset.full(1, 10 ** 5), 3, TripleSystem.SUM)}
+            high = IntegerSubset.full(10 ** 13, 10 ** 13 + 3)
+            for system in TripleSystem:
+                col = exists_good_colouring(high, 2, system)
+                out[system.value] = [col.ground == high, is_k_schur(high, 2, system)]
             for k in (2, 3):
                 for least in (False, True):
                     prod = _goal_search(powers, k, TripleSystem.PRODUCT, least=least)
@@ -204,7 +210,8 @@ class TestExistsGoodColouring:
         assert proc.returncode == 0, proc.stderr[-2000:]
         out = json.loads(proc.stdout)
         assert out == {"none": True, "long": True, "2False": True, "2True": True,
-                       "3False": True, "3True": True}
+                       "3False": True, "3True": True, "sum": [True, False],
+                       "double-sum": [True, False], "product": [True, False]}
 
 
 @st.composite
@@ -310,6 +317,30 @@ class TestPinnedSearchOrder:
         assert run.complete
         assert (run.nodes, run.deepest, run.prunes) == (nodes, deepest, prunes)
         assert (run.found is not None) == (deepest == len(members))
+
+    GAPPY = [7, 10, 11, 12, 13, 15, 16, 20, 21, 22, 29, 30, 32, 33, 34, 35, 37,
+             42, 43, 44, 45, 51, 55, 61, 65]
+
+    @pytest.mark.parametrize("members,k,system,least,found,counters", [
+        (range(3, 41), 3, SUM, False, "00011111100022222200022222000111111000",
+         (14, 2, 33, 38)),
+        (range(3, 41), 3, SUM, True, "00011111100022222200022222000111111000",
+         (85, 38, 242, 38)),
+        (range(3, 56), 3, DSUM, False, None, (46, 23, 202, 19)),
+        (range(3, 56), 3, DSUM, True, None, (485, 243, 2090, 27)),
+        (GAPPY, 3, DSUM, False, "0000210221101111211200220", (23, 4, 36, 25)),
+        (range(12, 40), 2, DSUM, True, "0" * 12 + "1" * 16, (12, 0, 16, 28)),
+        (range(40, 120), 2, SUM, False, "0" * 40 + "1" * 40, (40, 0, 40, 80)),
+        (range(4, 50), 3, PROD, False, "0000000000001000100011001010100110001010110011",
+         (46, 0, 0, 46)),
+        (range(3, 261), 2, PROD, True, None, (1, 1, 4, 0)),
+    ])
+    def test_goal_search_offset_grounds(self, members, k, system, least, found,
+                                        counters):
+        """Whole runs on grounds whose least member is above 1, where bit i
+        of every word stands for the carrier entry lo + i."""
+        run = _goal_search(list(members), k, system, least=least)
+        assert run == _Run(found and [int(c) for c in found], True, *counters)
 
     def test_goal_search_colouring(self):
         """The most-constrained-first search finds the same colouring of
