@@ -1,6 +1,8 @@
 """Exact counting for triples, divisors and table problems, and one
 branch-and-bound for the least number of monochromatic triples and for
-the largest subset with a good colouring.
+the largest subset with a good colouring.  `_branch_and_bound` is the
+only place that knows that extremal query: its ground, its argument
+checks, its guards and the `Colouring` it returns.
 
 Monochromatic triples under a colouring have one listing, `_mono_scan`,
 read from the rows of `core._mono_rows` on the colouring's own carrier
@@ -149,9 +151,11 @@ def has_mono_triple(colouring: Colouring, system: TripleSystem
 
     Returns (a, b, c, colour) with a <= b, least by (a, b, c) (so c
     before c + 1 in the double-sum system), or None.  It is the first
-    entry of the full listing, so a call pays for listing every triple;
-    the library calls it on witnesses and base colourings, whose grounds
-    are small.
+    entry of the full listing, and the library calls it to re-check
+    every colouring a search returns, of any size.  A colouring with no
+    triple lists nothing: the sum systems stop at a zero convolution
+    count, and products read each row once.  Only a colouring with
+    triples pays for listing them all.
     """
     triples = _mono_scan(colouring, system, collect=True)[1]
     return (*triples[0], colouring.colour_of(triples[0][0])) if triples else None
@@ -170,36 +174,45 @@ _MONO_NODE_BUDGET = 10 ** 7
 
 
 def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
-                      ) -> tuple[int, list[int]]:
-    """Least-cost colour sequence of the ground, by depth-first branch-and-bound.
+                      ) -> tuple[int, Colouring]:
+    """Least-cost k-colouring of the ground, by depth-first branch-and-bound.
 
-    Ground is [1,n] for the sum systems and [2,n] for products.  Members
-    are coloured in increasing order with canonical colours (colour c + 1
-    only after colour c); colour c on x closes the listed pairs (a, b),
-    a <= b < x, already coloured c.  The cost is the number of closed
-    triples, or with `leave_out`, the number of members left out: a
-    colour that closes a triple is barred, and leaving x out is tried
-    after every colour.  A left-out member takes the sentinel k, which
-    equals no colour, so no pair through it closes.  A child is pruned
-    once its cost reaches the best so far, so the first sequence in DFS
-    order to reach each new best is the least optimal one; it is returned
-    (0-based, k for "left out") with its cost.  Grounds beyond
-    _MONO_MAX_MEMBERS members are refused before any triple is listed,
-    and searches beyond _MONO_NODE_BUDGET nodes mid-way, both with
-    ResourceGuardError.
+    Ground is [1,n] for the sum systems and [2,n] for products; a smaller
+    n or k < 1 raises ValueError.  Members are coloured in increasing
+    order with canonical colours (colour c + 1 only after colour c);
+    colour c on x closes the listed pairs (a, b), a <= b < x, already
+    coloured c.  The cost is the number of closed triples, or with
+    `leave_out`, the number of members left out: a colour that closes a
+    triple is barred, and leaving x out is tried after every colour.  A
+    left-out member takes the sentinel k, which equals no colour, so no
+    pair through it closes.  A child is pruned once its cost reaches the
+    best so far, so the first sequence in DFS order to reach each new
+    best is the least optimal one; it is returned with its cost as a
+    Colouring whose ground omits the members left out.  One colour class
+    and no leave-out is answered by one count, for any n.  Otherwise
+    grounds beyond _MONO_MAX_MEMBERS members are refused before any array
+    is built, and searches beyond _MONO_NODE_BUDGET nodes mid-way, both
+    with ResourceGuardError.
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
+    if n < lo:
+        raise ValueError(f"n must be >= {lo} for {system.value}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     m = n - lo + 1
-    if m > _MONO_MAX_MEMBERS:
+    one_class = k == 1 and not leave_out
+    if m > _MONO_MAX_MEMBERS and not one_class:
         raise ResourceGuardError(f"{m} members is beyond the exact search's "
                                  f"cap ({_MONO_MAX_MEMBERS})")
     # one colour class: every triple of the system in [lo, n]
     ones = Colouring(IntegerSubset.full(lo, n), 1, np.ones(m, dtype=np.int8))
+    if one_class:
+        return count_monochromatic(ones, system), ones
     _, triples = _mono_scan(ones, system, collect=True)
     closing = [[] for _ in range(m)]  # member index -> pairs (a, b) it closes
     for a, b, c in triples:
         closing[c - lo].append((a - lo, b - lo))
-    colour = [0] * m  # 0-based colours of the members placed so far
+    colour = [0] * m  # 0-based colours of the members placed so far, k: left out
     # best starts above any cost, so the first descent sets best_colour
     best, best_colour, nodes = (m if leave_out else len(triples)) + 1, [], 0
 
@@ -227,7 +240,9 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
             extend(i + 1, used, count + 1)
 
     extend(0, 0, 0)
-    return best, best_colour
+    col = np.add(best_colour, 1)
+    col[col > k] = 0                                  # left out
+    return best, Colouring(IntegerSubset._adopt(ones.ground.interval, col > 0), k, col)
 
 
 def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
@@ -237,21 +252,11 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     Ground is [1,n] for the sum systems and [2,n] for products.  The
     minimiser returned is the lexicographically least colour sequence
     (colours of the ground elements in increasing order) attaining the
-    minimum, the tie-break `max_non_schur_subset` shares.  k = 1 is
-    answered by one count for any n.  Larger k runs `_branch_and_bound`,
-    whose guards raise ResourceGuardError.
+    minimum, the tie-break `max_non_schur_subset` shares.  It is
+    `_branch_and_bound`'s answer: k = 1 is one count for any n, and its
+    checks and guards raise ValueError and ResourceGuardError.
     """
-    lo = 2 if system is TripleSystem.PRODUCT else 1
-    if n < lo:
-        raise ValueError(f"n must be >= {lo} for {system.value}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ground = IntegerSubset.full(lo, n)
-    if k == 1:
-        ones = Colouring(ground, 1, np.ones(n - lo + 1, dtype=np.int8))
-        return _mono_scan(ones, system, collect=False)[0], ones
-    best, best_colour = _branch_and_bound(n, k, system, leave_out=False)
-    return best, Colouring(ground, k, np.array(best_colour) + 1)
+    return _branch_and_bound(n, k, system, leave_out=False)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ import numpy as np
 from .core import (
     Colouring,
     IntegerSubset,
-    Interval,
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
@@ -308,14 +307,13 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                     hot[j] |= b
             continue
         if not free:
-            colour_of = {}
-            for j in colours:
-                g = ml[j]
-                while g:
-                    b = g & -g
-                    colour_of[b.bit_length() - 1] = j
-                    g ^= b
-            found = [colour_of[y - lo] for y in members]
+            # each class mask unpacked over the carrier; what is left is class 0
+            col = np.zeros(len(ind), dtype=np.int8)
+            size = (len(ind) + 7) // 8
+            for j in colours[1:]:
+                bits = np.frombuffer(ml[j].to_bytes(size, "little"), dtype=np.uint8)
+                col[np.unpackbits(bits, count=len(ind), bitorder="little").view(bool)] = j
+            found = col[ind].tolist()
             deepest = n
             break
         depth = n - free.bit_count()
@@ -484,17 +482,11 @@ def max_non_schur_subset(n: int, k: int, system: TripleSystem
 
     Ground is [1,n] for the sum systems and [2,n] for products.  Runs
     `counting._branch_and_bound` with members left out at a cost of 1,
-    under its guards; the least colour sequence of the ground attaining
-    the optimum wins, "left out" after every colour, as the minimiser of
-    `min_monochromatic_bruteforce` does.
+    under its checks and guards; the least colour sequence of the ground
+    attaining the optimum wins, "left out" after every colour, as the
+    minimiser of `min_monochromatic_bruteforce` does.  The subset is the
+    ground of the colouring, which is re-checked before it is returned.
     """
-    _check_search_args(k, None)
-    lo = 2 if system is TripleSystem.PRODUCT else 1
-    if n < lo:
-        raise ValueError(f"n must be >= {lo} for {system.value}")
-    left_out, assign = _branch_and_bound(n, k, system, leave_out=True)
-    col = np.add(assign, 1)
-    col[col > k] = 0                                  # left out
-    ground = IntegerSubset._adopt(Interval(lo, n), col > 0)
-    colouring = _rechecked(Colouring(ground, k, col), system)
-    return n - lo + 1 - left_out, ground, colouring
+    colouring = _rechecked(_branch_and_bound(n, k, system, leave_out=True)[1], system)
+    ground = colouring.ground
+    return ground.cardinality(), ground, colouring

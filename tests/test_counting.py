@@ -463,12 +463,22 @@ class TestMinMonochromatic:
         assert brute_mono_triples(colour_of, PROD) == []
 
     def test_guard(self, monkeypatch):
-        """The node budget refuses mid-search, also at the deepest ground."""
+        """The node budget refuses mid-search, also at the deepest ground,
+        and the member cap refuses a ground too large to allocate."""
+        for system in (SUM, DSUM, PROD):
+            with pytest.raises(ResourceGuardError, match="members"):
+                min_monochromatic_bruteforce(10 ** 12, 2, system)
         monkeypatch.setattr(counting, "_MONO_NODE_BUDGET", 10 ** 4)
         with pytest.raises(ResourceGuardError, match="node budget"):
             min_monochromatic_bruteforce(30, 3, SUM)
         with pytest.raises(ResourceGuardError, match="node budget"):
             min_monochromatic_bruteforce(counting._MONO_MAX_MEMBERS + 1, 2, PROD)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
+    def test_n_below_the_ground_rejected(self, system, lo, k):
+        with pytest.raises(ValueError, match="n must be >= "):
+            min_monochromatic_bruteforce(lo - 1, k, system)
 
     @staticmethod
     def _no_listing(monkeypatch):

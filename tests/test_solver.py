@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodschur.core import IntegerSubset, Interval, ResourceGuardError, TripleSystem
+from prodschur.core import (Colouring, IntegerSubset, Interval, ResourceGuardError,
+                            TripleSystem)
 from prodschur.counting import has_mono_triple
 from prodschur.solver import (
     SearchConfig,
@@ -103,6 +104,18 @@ class TestExistsGoodColouring:
             exists_good_colouring(ground, 2, system)
         with pytest.raises(RuntimeError, match="internal error"):
             is_k_schur(ground, 2, system)
+
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_long_good_ground(self, system):
+        """[10^4, 2 * 10^4 - 1] holds no triple of any system (2 lo > hi and
+        lo^2 > hi): one node colours its lowest member and settles the
+        other 9 999 into the one class, and the colouring read back from
+        the class mask is all ones."""
+        ground = IntegerSubset.full(10 ** 4, 2 * 10 ** 4 - 1)
+        assert exists_good_colouring(ground, 1, system) == \
+            Colouring(ground, 1, [1] * 10 ** 4)
+        run = _goal_search(range(10 ** 4, 2 * 10 ** 4), 1, system)
+        assert (run.found, run.nodes, run.forced) == ([0] * 10 ** 4, 1, 9999)
 
     def test_product_ground_with_one_is_never_colourable(self):
         """1 * 1 = 1 closes in every class, so the goal search refutes such a
@@ -611,6 +624,9 @@ class TestMaxNonSchurSubset:
             max_non_schur_subset(counting._MONO_MAX_MEMBERS + 1, 1, SUM)
         with pytest.raises(ResourceGuardError, match="members"):
             max_non_schur_subset(counting._MONO_MAX_MEMBERS + 2, 2, PROD)
+        for system in (SUM, DSUM, PROD):
+            with pytest.raises(ResourceGuardError, match="members"):
+                max_non_schur_subset(10 ** 12, 2, system)
         monkeypatch.setattr(counting, "_MONO_NODE_BUDGET", 10 ** 4)
         with pytest.raises(ResourceGuardError, match="node budget"):
             max_non_schur_subset(40, 2, SUM)
@@ -651,8 +667,10 @@ class TestMaxNonSchurSubset:
     def test_witness_is_rechecked(self, monkeypatch):
         """A kernel that returned a bad colouring would be an internal
         error, not a result."""
-        monkeypatch.setattr(prodschur.solver, "_branch_and_bound",
-                            lambda n, k, system, leave_out: (0, [0] * n))
+        def kernel(n, k, system, leave_out):
+            return 0, Colouring(IntegerSubset.full(1, n), k, [1] * n)
+
+        monkeypatch.setattr(prodschur.solver, "_branch_and_bound", kernel)
         with pytest.raises(RuntimeError, match="internal error"):
             max_non_schur_subset(5, 2, SUM)
 
@@ -673,3 +691,9 @@ class TestMaxNonSchurSubset:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             max_non_schur_subset(6, 0, SUM)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
+    def test_n_below_the_ground_rejected(self, system, lo, k):
+        with pytest.raises(ValueError, match="n must be >= "):
+            max_non_schur_subset(lo - 1, k, system)
