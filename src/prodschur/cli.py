@@ -34,6 +34,7 @@ from .core import (
     Interval,
     ResourceGuardError,
     TripleSystem,
+    _check_colour_count,
 )
 from .constructions import (
     alpha_for_rate,
@@ -215,8 +216,7 @@ def colouring_from_text(text: str) -> Colouring:
         raise ValueError(f"bad header {head.strip()!r}: expected "
                          f"'# interval lo hi k'") from None
     iv = Interval(lo, hi)
-    if not 1 <= k <= 127:
-        raise ValueError(f"colour count k={k} out of supported range 1..127")
+    _check_colour_count(k)
     fault, dup, no_room = None, None, None
     try:
         col = np.zeros(len(iv), dtype=np.int8)

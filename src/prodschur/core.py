@@ -37,6 +37,11 @@ class ResourceGuardError(RuntimeError):
     """A size/memory guard refused to run an infeasible computation."""
 
 
+def _check_colour_count(k: int) -> None:
+    if not 1 <= k <= 127:                             # the int8 colour array's range
+        raise ValueError(f"colour count k={k} out of supported range 1..127")
+
+
 class TripleSystem(Enum):
     """Which equation family is in force.  a and b need not be distinct."""
 
@@ -181,8 +186,7 @@ class Colouring:
 
     def __init__(self, ground: IntegerSubset, k: int, colours: np.ndarray):
         """`colours` is aligned with the ground interval; 0 marks non-members."""
-        if k < 1 or k > 127:
-            raise ValueError(f"colour count k={k} out of supported range 1..127")
+        _check_colour_count(k)
         raw = np.asarray(colours)
         if len(raw) != len(ground.interval):
             raise ValueError("colour array length does not match ground interval")

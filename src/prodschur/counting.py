@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Colouring, IntegerSubset, ResourceGuardError, TripleSystem,
-                   _mono_rows)
+                   _check_colour_count, _mono_rows)
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,11 @@ def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
 
 # The branch-and-bound recurses once per member, so the cap keeps its depth far
 # below the interpreter's limit.  A node costs ~1.5 us for the minimum and ~2 us
-# with leave_out, so the budget is ~15 s and ~20 s of search respectively.
+# with leave_out, so the budget is ~15 s and ~20 s of search respectively.  The
+# one-class count's FFT doubles past 2^23 members, where it peaks at 566 MB RSS.
 _MONO_MAX_MEMBERS = 200
 _MONO_NODE_BUDGET = 10 ** 7
+_ONE_CLASS_MAX_MEMBERS = 1 << 23
 
 
 def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
@@ -178,10 +180,10 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     """Least-cost k-colouring of the ground, by depth-first branch-and-bound.
 
     Ground is [1,n] for the sum systems and [2,n] for products; a smaller
-    n or k < 1 raises ValueError.  Members are coloured in increasing
-    order with canonical colours (colour c + 1 only after colour c);
-    colour c on x closes the listed pairs (a, b), a <= b < x, already
-    coloured c.  The cost is the number of closed triples, or with
+    n, or a k outside 1..127, raises ValueError.  Members are coloured in
+    increasing order with canonical colours (colour c + 1 only after
+    colour c); colour c on x closes the listed pairs (a, b), a <= b < x,
+    already coloured c.  The cost is the number of closed triples, or with
     `leave_out`, the number of members left out: a colour that closes a
     triple is barred, and leaving x out is tried after every colour.  A
     left-out member takes the sentinel k, which equals no colour, so no
@@ -189,21 +191,20 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     best so far, so the first sequence in DFS order to reach each new
     best is the least optimal one; it is returned with its cost as a
     Colouring whose ground omits the members left out.  One colour class
-    and no leave-out is answered by one count, for any n.  Otherwise
-    grounds beyond _MONO_MAX_MEMBERS members are refused before any array
-    is built, and searches beyond _MONO_NODE_BUDGET nodes mid-way, both
-    with ResourceGuardError.
+    and no leave-out is one count.  Grounds past the member cap (for that
+    count _ONE_CLASS_MAX_MEMBERS, else _MONO_MAX_MEMBERS) are refused
+    before any array is built, and searches past _MONO_NODE_BUDGET nodes
+    mid-way, both with ResourceGuardError.
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
         raise ValueError(f"n must be >= {lo} for {system.value}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_colour_count(k)
     m = n - lo + 1
     one_class = k == 1 and not leave_out
-    if m > _MONO_MAX_MEMBERS and not one_class:
-        raise ResourceGuardError(f"{m} members is beyond the exact search's "
-                                 f"cap ({_MONO_MAX_MEMBERS})")
+    cap = _ONE_CLASS_MAX_MEMBERS if one_class else _MONO_MAX_MEMBERS
+    if m > cap:
+        raise ResourceGuardError(f"{m} members is beyond the exact search's cap ({cap})")
     # one colour class: every triple of the system in [lo, n]
     ones = Colouring(IntegerSubset.full(lo, n), 1, np.ones(m, dtype=np.int8))
     if one_class:
@@ -253,8 +254,8 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     minimiser returned is the lexicographically least colour sequence
     (colours of the ground elements in increasing order) attaining the
     minimum, the tie-break `max_non_schur_subset` shares.  It is
-    `_branch_and_bound`'s answer: k = 1 is one count for any n, and its
-    checks and guards raise ValueError and ResourceGuardError.
+    `_branch_and_bound`'s answer: k = 1 is one count up to its cap, and
+    its checks and guards raise ValueError and ResourceGuardError.
     """
     return _branch_and_bound(n, k, system, leave_out=False)
 

@@ -1,6 +1,7 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
-Two searches answer the exact queries.  Every goal query runs
+Two searches answer the exact queries; each takes its ground and returns
+a `Colouring`, which the query re-checks.  Every goal query runs
 `_goal_search`, under all three triple systems: `exists_good_colouring`
 and `is_k_schur` on their ground, and `schur_number` on [1, n] for
 n = 1, 2, ... until some [1, n] has no good colouring.  Having one is
@@ -9,12 +10,11 @@ branching on the lowest free member, gives the witness.
 `max_non_schur_subset` runs the branch-and-bound of `counting`.  In both
 searches colours appear in canonical order (colour c+1 may first appear
 only after colour c has), which is sound because colour classes are
-interchangeable.  The goal search keeps, for each colour c, a forbid
-word: a bitmask of the members c may no longer take, bit i for the
-carrier entry lo + i.  It is one loop over an explicit per-depth stack,
-so its depth is not bounded by the interpreter's recursion limit.  The
-branch-and-bound recurses once per member over a colour list, which is
-why it refuses grounds past `counting._MONO_MAX_MEMBERS` (200) members.
+interchangeable.  The goal search reads its ground's indicator in place
+over [lo, hi], its least and top member, and keeps, for each colour c, a
+forbid word: a bitmask of the members c may no longer take, bit i for
+the carrier entry lo + i.  It is one loop over an explicit per-depth
+stack, so its depth is not bounded by the interpreter's recursion limit.
 
 `_goal_search`: members join classes out of order, so inserting y in
 class c forbids c at every member that would close a triple with y and
@@ -75,6 +75,7 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
+    _check_colour_count,
     _mono_rows,
 )
 from .counting import _branch_and_bound, has_mono_triple
@@ -111,9 +112,9 @@ class SearchConfig:
 
 
 class _Run(NamedTuple):
-    """What one search did; colours in `found` are 0-based."""
+    """What one search did."""
 
-    found: Optional[list[int]]   # a complete good colouring, or None
+    found: Optional[Colouring]   # a good colouring of the whole ground, or None
     complete: bool               # False when the node limit stopped the search
     nodes: int
     prunes: int                  # children cut by the dead-member test
@@ -147,9 +148,9 @@ def _product_pairs(members: Sequence[int], ones: np.ndarray
     return close
 
 
-def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
+def _goal_search(ground: IntegerSubset, k: int, system: TripleSystem,
                  node_limit: Optional[int] = None, least: bool = False) -> _Run:
-    """Goal search over the k-colourings of the increasing `members`.
+    """Goal search over the k-colourings of `ground`.
 
     Each node colours the member with the fewest colours left, or with
     `least` the lowest free member, then settles every free member left
@@ -162,18 +163,19 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
     the lexicographically least.  `deepest` is the most members coloured
     at a node that propagation kept.
     """
-    n = len(members)
+    whole = ground._ind
+    n = int(np.count_nonzero(whole))
     if not n:
-        return _Run([], True, 0, 0, 0, 0)
+        return _Run(Colouring(ground, k, whole.astype(np.int8)), True, 0, 0, 0, 0)
+    first, last = int(whole.argmax()), len(whole) - 1 - int(whole[::-1].argmax())
+    ind = whole[first:last + 1]                       # the carrier [lo, hi]
+    lo, hi = ground.interval.lo + first, ground.interval.lo + last
     product = system is TripleSystem.PRODUCT
-    if product and members[0] == 1:                   # 1 * 1 = 1 in every class
+    if product and lo == 1:                           # 1 * 1 = 1 in every class
         return _Run(None, True, 0, 0, 0, 0)
     dsum = system is TripleSystem.DOUBLE_SUM
-    lo, hi = members[0], members[-1]
-    ind = np.zeros(hi - lo + 1, dtype=bool)
-    ind[np.subtract(members, lo)] = True
     if product:
-        close = _product_pairs(members, ind.view(np.int8))
+        close = _product_pairs((np.flatnonzero(ind) + lo).tolist(), ind.view(np.int8))
     else:
         # own[i], for the member v = lo + i: the class mask's shift (clipped),
         # v's reversed bit, the reversed mask's shift and the bit of v's half,
@@ -307,13 +309,13 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
                     hot[j] |= b
             continue
         if not free:
-            # each class mask unpacked over the carrier; what is left is class 0
-            col = np.zeros(len(ind), dtype=np.int8)
+            col = whole.astype(np.int8)               # class 0, then each class in play
+            sub = col[first:last + 1]
             size = (len(ind) + 7) // 8
-            for j in colours[1:]:
+            for j in range(1, u):
                 bits = np.frombuffer(ml[j].to_bytes(size, "little"), dtype=np.uint8)
-                col[np.unpackbits(bits, count=len(ind), bitorder="little").view(bool)] = j
-            found = col[ind].tolist()
+                sub[np.unpackbits(bits, count=len(ind), bitorder="little").view(bool)] = j + 1
+            found = Colouring(ground, k, col)
             deepest = n
             break
         depth = n - free.bit_count()
@@ -343,8 +345,7 @@ def _goal_search(members: Sequence[int], k: int, system: TripleSystem,
 
 
 def _check_search_args(k: int, node_limit: Optional[int]) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_colour_count(k)
     if node_limit is not None and node_limit < 0:
         raise ValueError("node_limit must be >= 0")
 
@@ -369,14 +370,10 @@ def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
     member first; it need not be the lexicographically least.
     """
     _check_search_args(k, node_limit)
-    run = _goal_search(ground.members().tolist(), k, system, node_limit)
+    run = _goal_search(ground, k, system, node_limit)
     if not run.complete:
         raise SearchInconclusive(run.nodes, run.deepest)
-    if run.found is None:
-        return None
-    col = ground._ind.astype(np.int8)
-    col[ground._ind] += run.found
-    return _rechecked(Colouring(ground, k, col), system)
+    return None if run.found is None else _rechecked(run.found, system)
 
 
 def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
@@ -415,14 +412,14 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
     def ask(n: int, least: bool = False) -> _Run:
         """The goal search on [1, n], its counters added to the outcome's."""
         nonlocal nodes, prunes, forced
-        run = _goal_search(range(1, n + 1), k, system,
+        run = _goal_search(IntegerSubset.full(1, n), k, system,
                            None if limit is None else limit - nodes, least)
         nodes += run.nodes
         prunes += run.prunes
         forced += run.forced
         return run
 
-    good: list[int] = []          # the last good colouring found, of [1, len(good)]
+    good: Optional[Colouring] = None    # the last good colouring found
     value = None
     for n in range(1, max_n + 1):
         run = ask(n)
@@ -442,11 +439,8 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
             good = run.found
     elapsed = time.perf_counter() - start
 
-    top = len(good)
-    witness = None
-    if top:
-        witness = _rechecked(Colouring(IntegerSubset.full(1, top), k,
-                                       np.add(good, 1)), system)
+    witness = None if good is None else _rechecked(good, system)
+    top = 0 if good is None else good.ground.interval.hi
     return SolverOutcome(value=value, witness=witness, nodes_explored=nodes,
                          elapsed=elapsed, conclusive=value is not None,
                          lower_bound=top + 1, prunes=prunes, forced=forced)

@@ -345,6 +345,17 @@ class TestExitCodes:
                 EXIT_INCONCLUSIVE
             assert "inconclusive" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--k", "0"], ["--k", "128"], ["--k", "200"],
+                                      ["--k", "200", "--max-n", "3"]])
+    def test_colour_count_out_of_range_is_usage(self, argv, capsys):
+        """k runs over 1..127.  `--k 200` used to trip the k >= 5 guard
+        (exit 3), and with `--max-n 3` it ended in a traceback (exit 1)."""
+        assert main(["schur", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: colour count k={argv[1]} out of supported "
+                                f"range 1..127\n")
+
     def test_guard_is_three(self, capsys):
         assert main(["schur", "--k", "6"]) == EXIT_GUARD
         assert "guard" in capsys.readouterr().err

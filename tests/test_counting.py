@@ -474,6 +474,21 @@ class TestMinMonochromatic:
         with pytest.raises(ResourceGuardError, match="node budget"):
             min_monochromatic_bruteforce(counting._MONO_MAX_MEMBERS + 1, 2, PROD)
 
+    @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
+    def test_one_colour_guard(self, system, lo, monkeypatch):
+        """One class is one count, but its arrays grow with the ground: past
+        `_ONE_CLASS_MAX_MEMBERS` members it is refused before any colouring
+        is built (10^12 members raised MemoryError)."""
+        def built(*args):
+            raise AssertionError("colouring built")
+
+        monkeypatch.setattr(counting, "Colouring", built)
+        for n in (10 ** 8, 10 ** 12):
+            with pytest.raises(ResourceGuardError, match="members"):
+                min_monochromatic_bruteforce(n, 1, system)
+        with pytest.raises(ResourceGuardError, match="members"):
+            min_monochromatic_bruteforce(counting._ONE_CLASS_MAX_MEMBERS + lo, 1, system)
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("system,lo", [(SUM, 1), (DSUM, 1), (PROD, 2)])
     def test_n_below_the_ground_rejected(self, system, lo, k):

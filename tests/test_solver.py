@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -42,9 +43,20 @@ DSUM = TripleSystem.DOUBLE_SUM
 PROD = TripleSystem.PRODUCT
 
 
-def _one_class(members, *args, **kwargs):
-    """A broken search: every member in colour 0, reported as good."""
-    return _Run([0] * len(members), True, 1, 0, 0, len(members))
+def _goal(members, k, system, least=False):
+    """`_goal_search` on the ground of the increasing `members`, with the
+    colouring it finds read back as the members' 0-based colours."""
+    members = list(members)
+    ground = IntegerSubset.from_members(Interval(members[0], members[-1]), members)
+    run = _goal_search(ground, k, system, least=least)
+    if run.found is None:
+        return run
+    return run._replace(found=(run.found._col[ground._ind] - 1).tolist())
+
+
+def _one_class(ground, k, *args, **kwargs):
+    """A broken search: every member in colour 1, reported as good."""
+    return _Run(Colouring(ground, k, ground._ind), True, 1, 0, 0, ground.cardinality())
 
 
 class TestExistsGoodColouring:
@@ -114,8 +126,22 @@ class TestExistsGoodColouring:
         ground = IntegerSubset.full(10 ** 4, 2 * 10 ** 4 - 1)
         assert exists_good_colouring(ground, 1, system) == \
             Colouring(ground, 1, [1] * 10 ** 4)
-        run = _goal_search(range(10 ** 4, 2 * 10 ** 4), 1, system)
+        run = _goal(range(10 ** 4, 2 * 10 ** 4), 1, system)
         assert (run.found, run.nodes, run.forced) == ([0] * 10 ** 4, 1, 9999)
+
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_empty_ground(self, system):
+        """A ground with no member has one colouring, the empty one, and it
+        is good, as enumeration says; the search explores no node.  On
+        [1, 5] a product ground lacks 1, so 1 * 1 = 1 does not refute it."""
+        assert brute_exists_good([], 2, system)
+        for lo in (1, 2):
+            ground = IntegerSubset.from_members(Interval(lo, 5), [])
+            for k in (1, 2, 127):
+                empty = Colouring(ground, k, [0] * (6 - lo))
+                assert exists_good_colouring(ground, k, system) == empty
+                assert is_k_schur(ground, k, system) is False
+                assert _goal_search(ground, k, system) == _Run(empty, True, 0, 0, 0, 0)
 
     def test_product_ground_with_one_is_never_colourable(self):
         """1 * 1 = 1 closes in every class, so the goal search refutes such a
@@ -124,7 +150,7 @@ class TestExistsGoodColouring:
             ground = IntegerSubset.from_members(Interval(1, members[-1]), members)
             for k in (1, 2, 3):
                 for least in (False, True):
-                    assert _goal_search(members, k, PROD, least=least) == \
+                    assert _goal(members, k, PROD, least=least) == \
                         _Run(None, True, 0, 0, 0, 0)
                 assert exists_good_colouring(ground, k, PROD) is None
                 assert not brute_exists_good(members, k, PROD)
@@ -142,7 +168,7 @@ class TestExistsGoodColouring:
         re-certified by enumeration.
         """
         members = list(range(lo, 1001))
-        run = _goal_search(members, k, PROD, least=True)
+        run = _goal(members, k, PROD, least=True)
         assert run.complete and run.found is not None
         assert hashlib.sha256(bytes(run.found)).hexdigest()[:16] == digest
         ground = IntegerSubset.full(lo, 1000)
@@ -171,8 +197,8 @@ class TestExistsGoodColouring:
         for node, and finds the same colouring."""
         powers = [2 ** e for e in range(1, 14)]
         for least in (True, False):
-            prod_run = _goal_search(powers, 3, PROD, least=least)
-            sum_run = _goal_search(list(range(1, 14)), 3, SUM, least=least)
+            prod_run = _goal(powers, 3, PROD, least=least)
+            sum_run = _goal(list(range(1, 14)), 3, SUM, least=least)
             assert prod_run == sum_run and sum_run.found is not None, least
         ground = IntegerSubset.from_members(Interval(2, powers[-1]), powers)
         col = exists_good_colouring(ground, 3, PROD)
@@ -193,7 +219,7 @@ class TestExistsGoodColouring:
         numbered by value would need over a terabyte.  The child runs with
         its address space capped at 512 MB above its size after import.
         """
-        script = textwrap.dedent("""
+        script = inspect.getsource(_goal) + textwrap.dedent("""
             import json, os, resource
             from prodschur.core import IntegerSubset, Interval, TripleSystem
             from prodschur.solver import _goal_search, exists_good_colouring, is_k_schur
@@ -211,9 +237,9 @@ class TestExistsGoodColouring:
                 out[system.value] = [col.ground == high, is_k_schur(high, 2, system)]
             for k in (2, 3):
                 for least in (False, True):
-                    prod = _goal_search(powers, k, TripleSystem.PRODUCT, least=least)
-                    plain = _goal_search(list(range(1, 21)), k, TripleSystem.SUM,
-                                         least=least)
+                    prod = _goal(powers, k, TripleSystem.PRODUCT, least=least)
+                    plain = _goal(list(range(1, 21)), k, TripleSystem.SUM,
+                                  least=least)
                     out[f"{k}{least}"] = prod == plain
             print(json.dumps(out))
         """)
@@ -229,10 +255,11 @@ class TestExistsGoodColouring:
 
 @st.composite
 def gappy_grounds(draw, max_size=10):
+    """Members of [lo, lo + 24] on [lo, top member], or none on [lo, lo]."""
     lo = draw(st.integers(1, 6))
-    members = sorted(draw(st.sets(st.integers(lo, lo + 24), min_size=1,
-                                  max_size=max_size)))
-    return IntegerSubset.from_members(Interval(lo, members[-1]), members)
+    members = sorted(draw(st.sets(st.integers(lo, lo + 24), max_size=max_size)))
+    return IntegerSubset.from_members(Interval(lo, members[-1] if members else lo),
+                                      members)
 
 
 @st.composite
@@ -288,10 +315,10 @@ class TestAgainstBruteForce:
         colouring that enumeration finds, or none when it finds none."""
         k, ground = k_ground
         members = ground.members().tolist()
-        run = _goal_search(members, k, system, least=True)
+        run = _goal_search(ground, k, system, least=True)
         assert run.complete
         want = brute_least_good(members, k, system)
-        got = None if run.found is None else {m: c + 1 for m, c in zip(members, run.found)}
+        got = None if run.found is None else {m: run.found.colour_of(m) for m in members}
         assert got == want
 
 
@@ -326,7 +353,7 @@ class TestPinnedSearchOrder:
     def test_goal_search(self, members, k, system, nodes, deepest, prunes):
         """Products on the default rule, which `exists_good_colouring` and
         `is_k_schur` run; sums on the lowest-free-member rule."""
-        run = _goal_search(list(members), k, system, least=system is not PROD)
+        run = _goal(members, k, system, least=system is not PROD)
         assert run.complete
         assert (run.nodes, run.deepest, run.prunes) == (nodes, deepest, prunes)
         assert (run.found is not None) == (deepest == len(members))
@@ -352,7 +379,7 @@ class TestPinnedSearchOrder:
                                         counters):
         """Whole runs on grounds whose least member is above 1, where bit i
         of every word stands for the carrier entry lo + i."""
-        run = _goal_search(list(members), k, system, least=least)
+        run = _goal(members, k, system, least=least)
         assert run == _Run(found and [int(c) for c in found], True, *counters)
 
     def test_goal_search_colouring(self):
@@ -380,7 +407,7 @@ class TestGoalSearch:
         S'(3) = 14).  Coloured out of order, 6 can join a class before 3,
         and a search that did not then bar 6's half from that class
         returned a colouring of [1, 14] with 3 + 3 = 6 in one class."""
-        run = _goal_search(list(range(1, n + 1)), k, system)
+        run = _goal(range(1, n + 1), k, system)
         assert run.complete
         assert (run.nodes, run.prunes, run.forced) == (nodes, prunes, forced)
         assert (run.found is not None) == good
@@ -423,7 +450,7 @@ class TestGoalSearch:
             cases.append((members, k, system))
         weighted = 0
         for members, k, system in cases:
-            run = _goal_search(members, k, system)
+            run = _goal(members, k, system)
             assert run.complete
             good = brute_least_good_pruned(members, k, system) is not None
             if len(members) <= 8:   # the pruned walk against plain enumeration
@@ -456,8 +483,8 @@ class TestGoalSearch:
             cases.append((list(range(2, n + 1)), k, PROD))
         answers = set()
         for members, k, system in cases:
-            run = _goal_search(members, k, system)
-            least = _goal_search(members, k, system, least=True)
+            run = _goal(members, k, system)
+            least = _goal(members, k, system, least=True)
             assert run.complete and least.complete
             good = least.found is not None
             assert (run.found is not None) == good, (members, k, system)
@@ -563,6 +590,35 @@ class TestSchurNumber:
     def test_k5_guarded(self):
         with pytest.raises(ResourceGuardError):
             schur_number(5, SUM)
+
+
+@pytest.mark.parametrize("k", [0, 128, 200])
+def test_colour_count_out_of_range_refused_before_search(k, monkeypatch):
+    """Colour counts run over 1..127, the range of the int8 colour array.
+    Every query refuses any other k before a search: k = 128 ran the
+    whole search before `Colouring` refused it, and k = 200 overflowed
+    the colour array with an uncaught OverflowError."""
+    def search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(prodschur.solver, "_goal_search", search)
+    monkeypatch.setattr(counting, "_mono_scan", search)
+    range_error = pytest.raises(ValueError, match=rf"k={k} out of supported range 1\.\.127")
+    for system in (SUM, DSUM, PROD):
+        lo = 2 if system is PROD else 1
+        with range_error:
+            exists_good_colouring(IntegerSubset.full(lo, 3), k, system)
+        with range_error:
+            is_k_schur(IntegerSubset.full(lo, 3), k, system)
+        with range_error:
+            max_non_schur_subset(5, k, system)
+        with range_error:
+            counting.min_monochromatic_bruteforce(5, k, system)
+    for system in (SUM, DSUM):
+        with range_error:
+            schur_number(k, system)
+        with range_error:
+            SearchConfig(k=k, max_n=3)
 
 
 class TestSchurBounds:
