@@ -133,11 +133,8 @@ def colouring_to_text(colouring: Colouring) -> str:
 
 
 def subset_to_text(subset: IntegerSubset) -> str:
-    """A bare set is written as a 1-colouring."""
-    iv = subset.interval
-    members = subset.members()
-    return _pairs_to_text(f"# interval {iv.lo} {iv.hi} 1",
-                          members, np.broadcast_to(np.int8(1), members.shape))
+    """A bare set is written as its 1-colouring, a view of its indicator."""
+    return colouring_to_text(Colouring._adopt(subset.interval, 1, subset._ind.view(np.int8)))
 
 
 # kinds of fault in a body, most urgent first; a non-ASCII character
@@ -265,7 +262,7 @@ def colouring_from_text(text: str) -> Colouring:
         raise no_room
     if dup is not None:
         raise ValueError(f"duplicate element {dup}")
-    return Colouring(IntegerSubset._adopt(iv, col > 0), k, col)
+    return Colouring._adopt(iv, k, col)
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ def _double_sum_base(k: int) -> Colouring:
         raise ValueError(f"no built-in double-sum Schur number for k={k}; "
                          f"pass an explicit base colouring")
     digits = _DOUBLE_SUM_WITNESSES[k]
-    colours = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
-    return Colouring(IntegerSubset.full(1, len(digits)), k, colours)
+    colours = np.frombuffer(digits.encode(), dtype=np.int8) - np.int8(ord("0"))
+    return Colouring._adopt(Interval(1, len(digits)), k, colours)
 
 
 def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> Colouring:
@@ -144,10 +144,9 @@ def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> 
     if lo > n:
         raise ValueError(f"ground interval (n^(1/{s}), {n}] is empty")
     bounds = log_partition_boundaries(n, s)
-    ground = IntegerSubset.full(lo, n)
     elements = np.arange(lo, n + 1, dtype=np.int64)
     cell = np.searchsorted(bounds, elements, side="left")  # = index map, in [1, s-1]
-    return Colouring(ground, k, base._col[cell - 1])   # base carried on [1, s-1]
+    return Colouring._adopt(Interval(lo, n), k, base._col[cell - 1])  # base on [1, s-1]
 
 
 class ExtremalSizeBounds(NamedTuple):
@@ -190,8 +189,8 @@ def mod5_colouring(n: int) -> tuple[IntegerSubset, Colouring]:
     if n < 1:
         raise ValueError("n must be >= 1")
     colours = np.array([0, 1, 2, 2, 1], dtype=np.int8)[np.arange(1, n + 1) % 5]
-    ground = IntegerSubset._adopt(Interval(1, n), colours > 0)
-    return ground, Colouring(ground, 2, colours)
+    colouring = Colouring._adopt(Interval(1, n), 2, colours)
+    return colouring.ground, colouring
 
 
 def eleven_interval_colouring(n: int) -> Colouring:
@@ -202,11 +201,10 @@ def eleven_interval_colouring(n: int) -> Colouring:
     """
     if n < 11:
         raise ValueError("n must be >= 11")
-    ground = IntegerSubset.full(1, n)
     a = np.arange(1, n + 1, dtype=np.int64)
     in_middle = (11 * a > 4 * n) & (11 * a <= 10 * n)
     colours = np.where(in_middle, 1, 2).astype(np.int8)
-    return Colouring(ground, 2, colours)
+    return Colouring._adopt(Interval(1, n), 2, colours)
 
 
 def perturbed_blocker_set(n: int, alpha: float) -> IntegerSubset:

@@ -11,10 +11,10 @@ array are carrier arrays, entry i standing for lo + i of the carrier
 interval [lo, hi].  The library reads them in place through `lo`, so a
 read costs O(hi - lo) however high the interval sits; `dense()` and
 `from_dense` convert to and from absolute arrays (index = integer value)
-for callers outside it.  An array handed in by a caller is copied
-(`IntegerSubset(...)`, `from_dense`), since the caller may keep mutating
-it; an array the library has just built is adopted without a copy
-(`IntegerSubset._adopt`).  Either way it is then read-only.  The row
+for callers outside it.  A caller's array is copied (`IntegerSubset(...)`,
+`from_dense`, `Colouring(...)`), as the caller may keep mutating it; one the
+library has just built is adopted (`IntegerSubset._adopt`, `Colouring._adopt`,
+whose ground is the colours' support).  Either way it is read-only.  The row
 kernel `_mono_rows` lists the triples of a carrier array, so a Monte
 Carlo trial copies nothing between drawing a set and detecting a triple
 in it.  Its readers live in `counting` (the count and listing of
@@ -31,6 +31,14 @@ from enum import Enum
 from typing import Iterable, Optional
 
 import numpy as np
+
+
+def _dense(carrier: np.ndarray, lo: int, hi: Optional[int]) -> np.ndarray:
+    """Carrier array over [lo, top] as an absolute one of length (hi or top) + 1."""
+    top = lo + len(carrier) - 1
+    out = np.zeros((top if hi is None else hi) + 1, dtype=carrier.dtype)
+    out[lo:top + 1] = carrier[:max(len(out) - lo, 0)]
+    return out
 
 
 class ResourceGuardError(RuntimeError):
@@ -152,12 +160,7 @@ class IntegerSubset:
 
     def dense(self, hi: Optional[int] = None) -> np.ndarray:
         """Absolute indicator: bool array of length hi+1 indexed by integer value."""
-        hi = self.interval.hi if hi is None else hi
-        out = np.zeros(hi + 1, dtype=bool)
-        top = min(hi, self.interval.hi)
-        if top >= self.interval.lo:
-            out[self.interval.lo:top + 1] = self._ind[:top - self.interval.lo + 1]
-        return out
+        return _dense(self._ind, self.interval.lo, hi)
 
     def union(self, other: "IntegerSubset") -> "IntegerSubset":
         """Union carried on the smallest interval covering both operands."""
@@ -180,7 +183,8 @@ class IntegerSubset:
 
 
 class Colouring:
-    """An assignment of a colour index in 1..k to each member of a ground set."""
+    """An assignment of a colour index in 1..k to each member of a ground set,
+    held as a read-only int8 carrier array, 0 at non-members (see `_adopt`)."""
 
     __slots__ = ("ground", "k", "_col")
 
@@ -197,9 +201,21 @@ class Colouring:
         if not np.array_equal(col > 0, ground._ind):
             raise ValueError("colour array support differs from ground membership")
         col.flags.writeable = False
-        self.ground = ground
-        self.k = k
-        self._col = col
+        self.ground, self.k, self._col = ground, k, col
+
+    def __reduce__(self):
+        # unpickled through the copying constructor, so a worker's copy is read-only too
+        return Colouring, (self.ground, self.k, self._col)
+
+    @classmethod
+    def _adopt(cls, interval: Interval, k: int, col: np.ndarray) -> "Colouring":
+        """Wrap the int8 carrier array `col`, colours 0..k, unchecked and without
+        a copy, and make it read-only; its support is the ground.  Only for
+        arrays the library has just allocated and hands over."""
+        self = cls.__new__(cls)
+        col.flags.writeable = False
+        self.ground, self.k, self._col = IntegerSubset._adopt(interval, col > 0), k, col
+        return self
 
     @classmethod
     def from_map(cls, ground: IntegerSubset, k: int, colour_of: dict[int, int]) -> "Colouring":
@@ -225,13 +241,7 @@ class Colouring:
 
     def dense(self, hi: Optional[int] = None) -> np.ndarray:
         """Absolute colour array (index = integer value); 0 where absent."""
-        hi = self.ground.interval.hi if hi is None else hi
-        out = np.zeros(hi + 1, dtype=np.int8)
-        top = min(hi, self.ground.interval.hi)
-        lo = self.ground.interval.lo
-        if top >= lo:
-            out[lo:top + 1] = self._col[:top - lo + 1]
-        return out
+        return _dense(self._col, self.ground.interval.lo, hi)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Colouring):

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Colouring, IntegerSubset, ResourceGuardError, TripleSystem,
+from .core import (Colouring, IntegerSubset, Interval, ResourceGuardError, TripleSystem,
                    _check_colour_count, _mono_rows)
 
 
@@ -206,7 +206,7 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     if m > cap:
         raise ResourceGuardError(f"{m} members is beyond the exact search's cap ({cap})")
     # one colour class: every triple of the system in [lo, n]
-    ones = Colouring(IntegerSubset.full(lo, n), 1, np.ones(m, dtype=np.int8))
+    ones = Colouring._adopt(Interval(lo, n), 1, np.ones(m, dtype=np.int8))
     if one_class:
         return count_monochromatic(ones, system), ones
     _, triples = _mono_scan(ones, system, collect=True)
@@ -241,9 +241,8 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
             extend(i + 1, used, count + 1)
 
     extend(0, 0, 0)
-    col = np.add(best_colour, 1)
-    col[col > k] = 0                                  # left out
-    return best, Colouring(IntegerSubset._adopt(ones.ground.interval, col > 0), k, col)
+    col = np.array([c + 1 if c < k else 0 for c in best_colour], dtype=np.int8)  # 0: left out
+    return best, Colouring._adopt(ones.ground.interval, k, col)
 
 
 def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem

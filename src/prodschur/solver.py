@@ -163,13 +163,13 @@ def _goal_search(ground: IntegerSubset, k: int, system: TripleSystem,
     the lexicographically least.  `deepest` is the most members coloured
     at a node that propagation kept.
     """
-    whole = ground._ind
+    iv, whole = ground.interval, ground._ind
     n = int(np.count_nonzero(whole))
     if not n:
-        return _Run(Colouring(ground, k, whole.astype(np.int8)), True, 0, 0, 0, 0)
+        return _Run(Colouring._adopt(iv, k, whole.astype(np.int8)), True, 0, 0, 0, 0)
     first, last = int(whole.argmax()), len(whole) - 1 - int(whole[::-1].argmax())
     ind = whole[first:last + 1]                       # the carrier [lo, hi]
-    lo, hi = ground.interval.lo + first, ground.interval.lo + last
+    lo, hi = iv.lo + first, iv.lo + last
     product = system is TripleSystem.PRODUCT
     if product and lo == 1:                           # 1 * 1 = 1 in every class
         return _Run(None, True, 0, 0, 0, 0)
@@ -315,7 +315,7 @@ def _goal_search(ground: IntegerSubset, k: int, system: TripleSystem,
             for j in range(1, u):
                 bits = np.frombuffer(ml[j].to_bytes(size, "little"), dtype=np.uint8)
                 sub[np.unpackbits(bits, count=len(ind), bitorder="little").view(bool)] = j + 1
-            found = Colouring(ground, k, col)
+            found = Colouring._adopt(iv, k, col)
             deepest = n
             break
         depth = n - free.bit_count()

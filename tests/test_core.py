@@ -1,4 +1,5 @@
 import ast
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from prodschur import cli
 from prodschur.constructions import (
+    _double_sum_base,
     eleven_interval_colouring,
     mod5_colouring,
     perturbed_blocker_set,
@@ -29,7 +31,12 @@ from prodschur.counting import (
     supersaturation_count,
 )
 from prodschur.randomlab import contains_product_triple, sample_random_subset
-from prodschur.solver import exists_good_colouring, max_non_schur_subset
+from prodschur.solver import (
+    _goal_search,
+    exists_good_colouring,
+    max_non_schur_subset,
+    schur_number,
+)
 from conftest import (
     brute_contains_product,
     brute_first_mono,
@@ -118,6 +125,26 @@ class TestIntegerSubset:
             assert not S._ind.flags.writeable
             with pytest.raises(ValueError):
                 S._ind[0] = True
+        # colourings: the same rule, and an unpickled copy is read-only too
+        cols = np.array([1, 0, 0, 2, 0, 0, 0, 0], dtype=np.int8)
+        colour_of = {2: 1, 5: 2}
+        C, M = Colouring(A, 2, cols), Colouring.from_map(A, 2, colour_of)
+        cols[:] = 1
+        colour_of[2] = 2
+        assert C.dense().tolist() == M.dense().tolist() == [0, 0, 1, 0, 0, 2, 0, 0, 0, 0]
+        assert cols.flags.writeable
+        built = [C, M, mod5_colouring(20)[1], eleven_interval_colouring(11),
+                 product_free_colouring(2, 100), _double_sum_base(2),
+                 cli.colouring_from_text("# interval 2 9 2\n2 1\n5 2\n"),
+                 min_monochromatic_bruteforce(6, 2, SUM)[1],
+                 min_monochromatic_bruteforce(6, 1, SUM)[1],
+                 max_non_schur_subset(6, 2, SUM)[2], exists_good_colouring(A, 2, SUM)]
+        for c in built + [pickle.loads(pickle.dumps(c)) for c in built]:
+            assert not c._col.flags.writeable
+            with pytest.raises(ValueError):
+                c._col[0] = 1
+        for c in built:
+            assert pickle.loads(pickle.dumps(c)) == c
 
 
 @st.composite
@@ -433,6 +460,76 @@ class TestExperimentRecord:
             ExperimentRecord(n=10, p=0.5, seed=1, trials=4, successes=5)
         with pytest.raises(ValueError):
             ExperimentRecord(n=10, p=1.5, seed=1, trials=4, successes=1)
+
+
+def test_only_core_calls_the_copying_colouring_constructor():
+    """Colour arrays the library builds are adopted (`Colouring._adopt`):
+    outside `core`, no module calls `Colouring(...)`, which copies and
+    re-checks what it is handed."""
+    copying, adopting = [], []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "Colouring" or \
+                    isinstance(f, ast.Attribute) and f.attr == "Colouring":
+                copying.append(f"{path.name}:{node.lineno}")
+            elif isinstance(f, ast.Attribute) and f.attr == "_adopt" and \
+                    isinstance(f.value, ast.Name) and f.value.id == "Colouring":
+                adopting.append(path.name)
+    assert copying == []
+    assert set(adopting) == {"cli.py", "constructions.py", "counting.py", "solver.py"}
+
+
+def _goal_found(system, members, k=3):
+    """A goal search's colouring of `members` on [1, 40], which must be its ground."""
+    ground = IntegerSubset.from_members(Interval(1, 40), members)
+    found = _goal_search(ground, k, system).found
+    assert found.ground == ground
+    return found
+
+
+def _leaving_out():
+    """A largest non-2-Schur subset of [1, 9], which must leave members out."""
+    size, subset, colouring = max_non_schur_subset(9, 2, SUM)
+    assert size < 9 and colouring.ground == subset
+    return colouring
+
+
+# every kind of colouring the library builds, on small inputs
+BUILT_COLOURINGS = {
+    "goal-sum": lambda: _goal_found(SUM, [2, 3, 5, 7, 11, 12, 13, 20, 29]),
+    "goal-double-sum": lambda: _goal_found(DSUM, [4, 5, 9, 10, 17, 30]),
+    "goal-product": lambda: _goal_found(PROD, [2, 3, 4, 6, 8, 12, 24, 36]),
+    "goal-empty-sum": lambda: _goal_found(SUM, []),
+    "goal-empty-double-sum": lambda: _goal_found(DSUM, []),
+    "goal-empty-product": lambda: _goal_found(PROD, []),
+    "schur-witness-k3": lambda: schur_number(3).witness,
+    "max-non-schur": _leaving_out,
+    "min-mono": lambda: min_monochromatic_bruteforce(8, 2, SUM)[1],
+    "min-mono-one-class": lambda: min_monochromatic_bruteforce(8, 1, PROD)[1],
+    "from-text": lambda: cli.colouring_from_text("# interval 3 9 2\n7 2\n3 1\n"),
+    "mod5": lambda: mod5_colouring(12)[1],
+    "eleven-interval": lambda: eleven_interval_colouring(22),
+    "product-free": lambda: product_free_colouring(2, 200),
+    "double-sum-base": lambda: _double_sum_base(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_COLOURINGS))
+def test_built_colourings_hold_the_constructor_invariants(name):
+    """What the copying constructor checks at run time holds for every
+    colouring the library adopts: int8, read-only, support = ground,
+    colours in 1..k, and the constructor accepts it unchanged."""
+    c = BUILT_COLOURINGS[name]()
+    assert c._col.dtype == np.int8 and not c._col.flags.writeable
+    assert np.array_equal(c.ground._ind, c._col > 0)
+    colours = c._col[c.ground._ind]
+    assert ((colours >= 1) & (colours <= c.k)).all()
+    assert Colouring(c.ground, c.k, c._col) == c
 
 
 def test_conftest_imports_only_triple_system():
