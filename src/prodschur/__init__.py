@@ -9,6 +9,7 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
+    UsageError,
 )
 from .solver import (
     SearchConfig,

@@ -6,9 +6,9 @@ for sets and colourings (header ``# interval lo hi k`` then sorted
 manifest (JSON: command line, config digest, seed, version, wall time);
 identical manifests modulo wall time produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 inconclusive search,
-3 resource guard tripped, 4 internal error (a result failed its own
-re-check).
+Exit codes: 0 success, 1 refused input (`UsageError`), 2 inconclusive
+search, 3 resource guard tripped, 4 any other exception, such as a result
+that failed its own re-check, reported on one line naming its type.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     Interval,
     ResourceGuardError,
     TripleSystem,
+    UsageError,
     _check_colour_count,
 )
 from .constructions import (
@@ -70,15 +71,11 @@ EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here wants 1."""
 
     def error(self, message: str):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +134,26 @@ def subset_to_text(subset: IntegerSubset) -> str:
     return colouring_to_text(Colouring._adopt(subset.interval, 1, subset._ind.view(np.int8)))
 
 
-# kinds of fault in a body, most urgent first; a non-ASCII character
-# outranks them all, and the header is checked before the body is read
+# kinds of fault in a body, most urgent first, raised in a block as
+# UsageError(kind, message); a non-ASCII character outranks them all, and
+# the header is checked before the body is read
 _JUNK, _TOKENS, _WIDTH, _OUTSIDE, _COLOUR = range(5)
-
-
-class _Fault(Exception):
-    """A fault in a colouring text body; its ``args`` are its kind and message."""
 
 
 def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``element colour`` lines of `body`; blank lines are skipped.
 
     `first_line` is the 1-based line number of the body's first line,
-    used in error messages.  Raises `_Fault` for the first fault of the
-    most urgent kind in `body`.
+    used in error messages.  Raises UsageError(kind, message) for the
+    first fault of the most urgent kind in `body`.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
     digit = (buf - np.uint8(ord("0"))) < 10
     is_nl = buf == ord("\n")
 
-    def bad_line(kind: int, line: int, why: str) -> _Fault:
+    def bad_line(kind: int, line: int, why: str) -> UsageError:
         text = body.split(b"\n", line + 1)[line].decode("ascii", "replace").strip()
-        return _Fault(kind, f"line {first_line + line}: {why}, got {text!r}")
+        return UsageError(kind, f"line {first_line + line}: {why}, got {text!r}")
 
     junk = ~(digit | is_nl | (buf == ord(" ")) | (buf == ord("\r")) | (buf == ord("\t")))
     if junk.any():
@@ -192,7 +186,7 @@ def _parse_pairs(body: bytes, first_line: int) -> tuple[np.ndarray, np.ndarray]:
 def colouring_from_text(text: str) -> Colouring:
     """Parse the format `colouring_to_text` writes, rejecting anything else.
 
-    Raises ValueError, in this order of precedence, for a header other
+    Raises UsageError, in this order of precedence, for a header other
     than ``# interval lo hi k``, a non-ASCII character, a line other than
     two non-negative integers, an element outside [lo, hi], a colour
     outside 1..k or a duplicate element.  It names the first fault of its
@@ -207,10 +201,10 @@ def colouring_from_text(text: str) -> Colouring:
     tokens = head.split()
     try:
         if len(tokens) != 5 or tokens[:2] != ["#", "interval"]:
-            raise ValueError
+            raise UsageError
         lo, hi, k = (int(t) for t in tokens[2:])
     except ValueError:
-        raise ValueError(f"bad header {head.strip()!r}: expected "
+        raise UsageError(f"bad header {head.strip()!r}: expected "
                          f"'# interval lo hi k'") from None
     iv = Interval(lo, hi)
     _check_colour_count(k)
@@ -228,19 +222,19 @@ def colouring_from_text(text: str) -> Colouring:
         try:
             block = text[pos:stop].encode("ascii")
         except UnicodeEncodeError as e:  # as the encoder reports it for the whole body
-            raise UnicodeEncodeError(e.encoding, text[body:], e.start + pos - body,
-                                     e.end + pos - body, e.reason) from None
+            raise UsageError(UnicodeEncodeError(e.encoding, text[body:], e.start + pos - body,
+                                                e.end + pos - body, e.reason)) from None
         try:
             elems, colours = _parse_pairs(block, line)
             outside = (elems < lo) | (elems > hi)
             if outside.any():
-                raise _Fault(_OUTSIDE, f"element {elems[outside][0]} outside [{lo}, {hi}]")
+                raise UsageError(_OUTSIDE, f"element {elems[outside][0]} outside [{lo}, {hi}]")
             bad = (colours < 1) | (colours > k)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise _Fault(_COLOUR,
-                             f"element {elems[i]} has colour {colours[i]} outside 1..{k}")
-        except _Fault as f:
+                raise UsageError(_COLOUR,
+                                 f"element {elems[i]} has colour {colours[i]} outside 1..{k}")
+        except UsageError as f:
             if fault is None or f.args[0] < fault.args[0]:
                 fault = f
         else:
@@ -257,11 +251,11 @@ def colouring_from_text(text: str) -> Colouring:
         line += block.count(b"\n")
         pos = stop
     if fault is not None:
-        raise ValueError(fault.args[1])
+        raise UsageError(fault.args[1])
     if no_room is not None:
         raise no_room
     if dup is not None:
-        raise ValueError(f"duplicate element {dup}")
+        raise UsageError(f"duplicate element {dup}")
     return Colouring._adopt(iv, k, col)
 
 
@@ -361,7 +355,7 @@ def _construction(args):
     name, n = args.name, args.n
     if name == "log-product":
         if args.k is None:
-            raise _UsageError("--k is required for log-product")
+            raise UsageError("--k is required for log-product")
 
         def report(colouring):
             violations = count_monochromatic(colouring, TripleSystem.PRODUCT)
@@ -385,7 +379,7 @@ def _construction(args):
         return lambda: eleven_interval_colouring(n), report, colouring_to_text
     # "blocker", the last of --name's choices, which argparse enforces
     if args.alpha is None:
-        raise _UsageError("--alpha is required for blocker")
+        raise UsageError("--alpha is required for blocker")
 
     def report(subset):
         triple_free = not contains_product_triple(subset)
@@ -416,7 +410,7 @@ def _cmd_count(args, argv: list[str]) -> int:
     what = args.what
     if what == "triples":
         if args.n < 2:  # the reference 0.5 n log n is 0 at n = 1
-            raise _UsageError(f"--n must be >= 2 for triples, got {args.n}")
+            raise UsageError(f"--n must be >= 2 for triples, got {args.n}")
         tc = count_product_triples(args.n)
         print(f"total: {tc.total}")
         print(f"off_diagonal: {tc.off_diagonal}")
@@ -427,12 +421,12 @@ def _cmd_count(args, argv: list[str]) -> int:
     elif what == "mono":
         system = TripleSystem.parse(args.system)
         if args.name not in ("mod5", "eleven", "log-product"):
-            raise _UsageError("--name must be one of mod5, eleven, log-product")
+            raise UsageError("--name must be one of mod5, eleven, log-product")
         build, _, _ = _construction(args)
         print(f"monochromatic: {count_monochromatic(build(), system)}")
     elif what == "divisors":
         if args.n < 3:  # the reference log n / log log n needs log log n > 0
-            raise _UsageError(f"--n must be >= 3 for divisors, got {args.n}")
+            raise UsageError(f"--n must be >= 3 for divisors, got {args.n}")
         mx, arg = max_divisor_count(args.n)
         print(f"max: {mx}")
         print(f"argmax: {arg}")
@@ -440,7 +434,7 @@ def _cmd_count(args, argv: list[str]) -> int:
         print(f"reference_log_n_over_loglog_n: {ref:.3f}")
     elif what == "table":
         if args.y is None or args.z is None:
-            raise _UsageError("--y and --z are required for table counts")
+            raise UsageError("--y and --z are required for table counts")
         est = multiplication_table_count(args.n, args.y, args.z)
         print(f"exact: {est.exact}")
         if est.ratio is not None:
@@ -451,7 +445,7 @@ def _cmd_count(args, argv: list[str]) -> int:
             print("theta preconditions not met; exact count only")
     else:  # "supersat", the last of --what's choices, which argparse enforces
         if not 0 <= args.drop <= args.n - 1:
-            raise _UsageError(f"--drop must lie in [0, n - 1] = [0, {args.n - 1}], "
+            raise UsageError(f"--drop must lie in [0, n - 1] = [0, {args.n - 1}], "
                               f"got {args.drop}")
         keep = np.ones(args.n - 1, dtype=bool)  # the carrier of [2, n]
         if args.drop:
@@ -469,7 +463,7 @@ def _parse_multipliers(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"bad multiplier list {text!r}: {exc}")
+        raise UsageError(f"bad multiplier list {text!r}: {exc}")
 
 
 def _sweep_timings(records) -> dict:
@@ -578,17 +572,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # neither refused input nor a guard: a bug to report
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -12,11 +12,12 @@ downstream this only rescales constants.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Colouring, IntegerSubset, Interval, TripleSystem
+from .core import Colouring, IntegerSubset, Interval, TripleSystem, UsageError
 from . import counting
 from .counting import erdos_ford_delta, has_mono_triple
 
@@ -36,7 +37,7 @@ def divisor_interval_rate(alpha: float) -> float:
     integers by density ~alpha; strictly increasing on (0, 1).
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
     d = erdos_ford_delta()
     return alpha ** (1.0 / d) / (4.0 * math.log(1.0 / alpha) ** (1.5 / d))
 
@@ -54,10 +55,10 @@ def threshold_exponent_offset(alpha: float) -> float:
 def alpha_for_rate(target: float) -> float:
     """Inverse of divisor_interval_rate by bisection on its monotone branch."""
     if target <= 0:
-        raise ValueError("target rate must be positive")
+        raise UsageError("target rate must be positive")
     lo, hi = 1e-12, 1.0 - 1e-12
     if divisor_interval_rate(hi) < target:
-        raise ValueError(f"target rate {target} not attained below alpha = 1")
+        raise UsageError(f"target rate {target} not attained below alpha = 1")
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if divisor_interval_rate(mid) < target:
@@ -72,7 +73,7 @@ def alpha_for_rate(target: float) -> float:
 def integer_nth_root(x: int, k: int) -> int:
     """floor(x^(1/k)) in exact integer arithmetic (Newton + adjustment)."""
     if x < 0 or k < 1:
-        raise ValueError("need x >= 0 and k >= 1")
+        raise UsageError("need x >= 0 and k >= 1")
     if k == 1 or x < 2:
         return x
     r = 1 << -(-x.bit_length() // k)  # certainly >= the root
@@ -113,7 +114,7 @@ _DOUBLE_SUM_WITNESSES = {
 def _double_sum_base(k: int) -> Colouring:
     """Witness colouring of [S'(k)-1] free of a+b=c and a+b=c-1."""
     if k not in _DOUBLE_SUM_WITNESSES:
-        raise ValueError(f"no built-in double-sum Schur number for k={k}; "
+        raise UsageError(f"no built-in double-sum Schur number for k={k}; "
                          f"pass an explicit base colouring")
     digits = _DOUBLE_SUM_WITNESSES[k]
     colours = np.frombuffer(digits.encode(), dtype=np.int8) - np.int8(ord("0"))
@@ -133,16 +134,16 @@ def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> 
         base = _double_sum_base(k)
     s = base.ground.interval.hi + 1
     if base.ground.interval.lo != 1 or base.ground.cardinality() != s - 1:
-        raise ValueError("base must colour the full interval [1, s-1]")
+        raise UsageError("base must colour the full interval [1, s-1]")
     if base.k != k:
-        raise ValueError(f"base has {base.k} colours, expected {k}")
+        raise UsageError(f"base has {base.k} colours, expected {k}")
     bad = has_mono_triple(base, TripleSystem.DOUBLE_SUM)
     if bad is not None:
-        raise ValueError(f"base colouring admits the monochromatic solution {bad}")
+        raise UsageError(f"base colouring admits the monochromatic solution {bad}")
 
     lo = integer_nth_root(n, s) + 1
     if lo > n:
-        raise ValueError(f"ground interval (n^(1/{s}), {n}] is empty")
+        raise UsageError(f"ground interval (n^(1/{s}), {n}] is empty")
     bounds = log_partition_boundaries(n, s)
     elements = np.arange(lo, n + 1, dtype=np.int64)
     cell = np.searchsorted(bounds, elements, side="left")  # = index map, in [1, s-1]
@@ -166,13 +167,17 @@ def max_non_schur_size_bounds(k: int, n: int, eps: float,
     k <= 4 unless supplied.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise UsageError("eps must lie in (0, 1)")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise UsageError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:                        # the bounds are floats
+        raise UsageError(f"n must be at most {sys.float_info.max:g}, the largest float")
     s = s if s is not None else KNOWN_SCHUR.get(k)
     s_prime = s_prime if s_prime is not None else KNOWN_DOUBLE_SUM_SCHUR.get(k)
     if s is None or s_prime is None:
-        raise ValueError(f"no built-in Schur numbers for k={k}; supply s= and s_prime=")
+        raise UsageError(f"no built-in Schur numbers for k={k}; supply s= and s_prime=")
+    if min(s, s_prime) < 1:                           # the bounds take their 1/s-th roots
+        raise UsageError(f"need s, s_prime >= 1, got s={s}, s_prime={s_prime}")
     lower = n - n ** (1.0 / s_prime)
     upper = n - (1.0 - eps) * n ** (1.0 / s)
     # log-space comparison: (2/eps)^(s^2) overflows floats long before it matters
@@ -187,7 +192,7 @@ def mod5_colouring(n: int) -> tuple[IntegerSubset, Colouring]:
     residues 2, 3 colour 2.  Size is ceil(4n/5).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("n must be >= 1")
     colours = np.array([0, 1, 2, 2, 1], dtype=np.int8)[np.arange(1, n + 1) % 5]
     colouring = Colouring._adopt(Interval(1, n), 2, colours)
     return colouring.ground, colouring
@@ -200,7 +205,7 @@ def eleven_interval_colouring(n: int) -> Colouring:
     n^2/22 + O(n) over two colours.
     """
     if n < 11:
-        raise ValueError("n must be >= 11")
+        raise UsageError("n must be >= 11")
     a = np.arange(1, n + 1, dtype=np.int64)
     in_middle = (11 * a > 4 * n) & (11 * a <= 10 * n)
     colours = np.where(in_middle, 1, 2).astype(np.int8)
@@ -218,11 +223,11 @@ def perturbed_blocker_set(n: int, alpha: float) -> IntegerSubset:
     beta = threshold_exponent_offset(alpha)
     npow = n ** beta
     if npow < math.sqrt(2.0):
-        raise ValueError(
+        raise UsageError(
             f"range violation: n^beta = {npow:.6g} < sqrt(2); alpha too small "
             f"for this n")
     if beta > 1.0 / 6.0 + 1e-12:
-        raise ValueError(
+        raise UsageError(
             f"range violation: beta = {beta:.6g} > 1/6; alpha exceeds the "
             f"construction range")
     y = n ** (0.5 - beta)

@@ -20,7 +20,7 @@ Carlo trial copies nothing between drawing a set and detecting a triple
 in it.  Its readers live in `counting` (the count and listing of
 monochromatic triples, and `has_mono_triple`, the first of them),
 `randomlab` (product-triple detection) and `solver` (a product ground's
-triples).
+triples).  Every check on a caller's argument or input text raises `UsageError`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,17 @@ def _dense(carrier: np.ndarray, lo: int, hi: Optional[int]) -> np.ndarray:
     return out
 
 
+class UsageError(ValueError):
+    """A check on a caller's argument or input text refused it."""
+
+
 class ResourceGuardError(RuntimeError):
     """A size/memory guard refused to run an infeasible computation."""
 
 
 def _check_colour_count(k: int) -> None:
     if not 1 <= k <= 127:                             # the int8 colour array's range
-        raise ValueError(f"colour count k={k} out of supported range 1..127")
+        raise UsageError(f"colour count k={k} out of supported range 1..127")
 
 
 class TripleSystem(Enum):
@@ -62,7 +66,7 @@ class TripleSystem(Enum):
         for sys_ in cls:
             if sys_.value == name:
                 return sys_
-        raise ValueError(f"unknown triple system {name!r}; expected one of "
+        raise UsageError(f"unknown triple system {name!r}; expected one of "
                          f"{[s.value for s in cls]}")
 
 
@@ -75,7 +79,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not (1 <= self.lo <= self.hi):
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]: need 1 <= lo <= hi")
+            raise UsageError(f"invalid interval [{self.lo}, {self.hi}]: need 1 <= lo <= hi")
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -100,7 +104,7 @@ class IntegerSubset:
 
     def _hold(self, interval: Interval, ind: np.ndarray) -> None:
         if len(ind) != len(interval):
-            raise ValueError("indicator length does not match interval size")
+            raise UsageError("indicator length does not match interval size")
         ind.flags.writeable = False
         self.interval = interval
         self._ind = ind
@@ -131,7 +135,7 @@ class IntegerSubset:
         m = np.fromiter(members, dtype=np.int64)
         outside = (m < interval.lo) | (m > interval.hi)
         if outside.any():
-            raise ValueError(f"member {m[outside][0]} outside interval "
+            raise UsageError(f"member {m[outside][0]} outside interval "
                              f"[{interval.lo}, {interval.hi}]")
         ind = np.zeros(len(interval), dtype=bool)
         ind[m - interval.lo] = True
@@ -193,13 +197,13 @@ class Colouring:
         _check_colour_count(k)
         raw = np.asarray(colours)
         if len(raw) != len(ground.interval):
-            raise ValueError("colour array length does not match ground interval")
+            raise UsageError("colour array length does not match ground interval")
         # range-check before the int8 cast, which would wrap 257 to 1
         if raw.size and (raw.min() < 0 or raw.max() > k):
-            raise ValueError("colour indices must lie in 1..k")
+            raise UsageError("colour indices must lie in 1..k")
         col = raw.astype(np.int8)
         if not np.array_equal(col > 0, ground._ind):
-            raise ValueError("colour array support differs from ground membership")
+            raise UsageError("colour array support differs from ground membership")
         col.flags.writeable = False
         self.ground, self.k, self._col = ground, k, col
 
@@ -300,28 +304,28 @@ class ExperimentRecord:
 
     def __post_init__(self) -> None:
         if not (0 <= self.successes <= self.trials):
-            raise ValueError("successes must lie in [0, trials]")
+            raise UsageError("successes must lie in [0, trials]")
         if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
+            raise UsageError("p must lie in [0, 1]")
 
     @property
     def frequency(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def _mono_rows(col: np.ndarray, hi: int, system: TripleSystem, lo: int,
-               since: int = 0):
+def _mono_rows(col: np.ndarray, system: TripleSystem, lo: int, since: int = 0):
     """Rows of monochromatic triples (a, b, c), a <= b <= c <= hi, c > since.
 
-    `col[i]` is the colour of lo + i (0 = absent), up to hi: a carrier's
-    own array, read in place.  Walks a over the members in increasing
-    order and yields (a, b, shift, mask), where mask[j] says that a,
-    b + j and c share a's colour: c = a(b + j) for products, with
-    b + j <= hi // a; c = a + b + j + shift for the sum systems, with
-    shift 0, or 0 then 1 for the double sum.  b is the least partner >= a
-    whose c exceeds `since`, so a caller that has checked every c <= since
-    reads only the new triples.  Rows with no admissible partner are skipped.
+    `col[i]` is the colour of lo + i <= hi = lo + len(col) - 1 (0 = absent),
+    read in place.  Walks a over the members in increasing order and
+    yields (a, b, shift, mask), where mask[j] says that a, b + j and c
+    share a's colour: c = a(b + j) for products, with b + j <= hi // a;
+    c = a + b + j + shift for the sum systems, with shift 0, or 0 then 1
+    for the double sum.  b is the least partner >= a whose c exceeds
+    `since`, so a caller that has checked every c <= since reads only the
+    new triples.  Rows with no admissible partner are skipped.
     """
+    hi = lo + len(col) - 1
     if system is TripleSystem.PRODUCT:
         for i in np.flatnonzero(col[:max(math.isqrt(hi) + 1 - lo, 0)]):
             a = int(i) + lo

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Colouring, IntegerSubset, Interval, ResourceGuardError, TripleSystem,
-                   _check_colour_count, _mono_rows)
+                   UsageError, _check_colour_count, _mono_rows)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class TripleCount:
 
     def __post_init__(self) -> None:
         if self.total != self.off_diagonal + self.diagonal:
-            raise ValueError("total must equal off_diagonal + diagonal")
+            raise UsageError("total must equal off_diagonal + diagonal")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def count_product_triples(n: int) -> TripleCount:
     integer arithmetic.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("n must be >= 1")
     r = math.isqrt(n)
     off = sum(n // a - a for a in range(2, r + 1))
     diag = max(r - 1, 0)
@@ -122,7 +122,7 @@ def _mono_scan(colouring: Colouring, system: TripleSystem, collect: bool
     rows.  Listings are ordered by (a, b, c).
     """
     col, iv = colouring._col, colouring.ground.interval
-    rows = _mono_rows(col, iv.hi, system, iv.lo)
+    rows = _mono_rows(col, system, iv.lo)
     product = system is TripleSystem.PRODUCT
     if not product:
         expected = _sum_count_fft(col, iv.lo, system is TripleSystem.DOUBLE_SUM)
@@ -180,7 +180,7 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     """Least-cost k-colouring of the ground, by depth-first branch-and-bound.
 
     Ground is [1,n] for the sum systems and [2,n] for products; a smaller
-    n, or a k outside 1..127, raises ValueError.  Members are coloured in
+    n, or a k outside 1..127, raises UsageError.  Members are coloured in
     increasing order with canonical colours (colour c + 1 only after
     colour c); colour c on x closes the listed pairs (a, b), a <= b < x,
     already coloured c.  The cost is the number of closed triples, or with
@@ -198,7 +198,7 @@ def _branch_and_bound(n: int, k: int, system: TripleSystem, leave_out: bool
     """
     lo = 2 if system is TripleSystem.PRODUCT else 1
     if n < lo:
-        raise ValueError(f"n must be >= {lo} for {system.value}")
+        raise UsageError(f"n must be >= {lo} for {system.value}")
     _check_colour_count(k)
     m = n - lo + 1
     one_class = k == 1 and not leave_out
@@ -254,9 +254,13 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     (colours of the ground elements in increasing order) attaining the
     minimum, the tie-break `max_non_schur_subset` shares.  It is
     `_branch_and_bound`'s answer: k = 1 is one count up to its cap, and
-    its checks and guards raise ValueError and ResourceGuardError.
+    its checks and guards raise UsageError and ResourceGuardError.  For
+    k >= 2 the minimiser's triples are re-counted before it is returned.
     """
-    return _branch_and_bound(n, k, system, leave_out=False)
+    cost, colouring = _branch_and_bound(n, k, system, leave_out=False)
+    if k > 1 and count_monochromatic(colouring, system) != cost:
+        raise RuntimeError(f"internal error: minimiser fails re-count of {cost} triples")
+    return cost, colouring
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def divisor_count_table(n: int) -> np.ndarray:
     sum_{a<=sqrt n} n/a ~ (n/2) log n slice updates.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("n must be >= 1")
     if n > 10 ** 9:
         raise ResourceGuardError("divisor table beyond n = 1e9 exceeds the memory guard")
     counts = np.zeros(n + 1, dtype=np.int16)
@@ -307,9 +311,11 @@ def divisors_in_interval_indicator(n: int, y: float, z: float) -> np.ndarray:
     whose multiples include all of d's, so it is skipped.
     """
     if not z > y:
-        raise ValueError(f"need z > y, got y={y}, z={z}")
+        raise UsageError(f"need z > y, got y={y}, z={z}")
+    if not (math.isfinite(y) and math.isfinite(z)):  # the sieve's bounds are integers
+        raise UsageError(f"need finite y and z, got y={y}, z={z}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("n must be >= 1")
     marked = np.zeros(n + 1, dtype=bool)
     d_lo = max(math.floor(y) + 1, 1)
     d_hi = min(math.ceil(z) - 1, n)

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constructions import perturbed_blocker_set, threshold_exponent_offset
-from .core import ExperimentRecord, IntegerSubset, Interval, TripleSystem, _mono_rows
+from .core import (ExperimentRecord, IntegerSubset, Interval, TripleSystem, UsageError,
+                   _mono_rows)
 
 _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A7C15  # second Philox key word, fixed
@@ -98,15 +99,15 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise UsageError("n must be >= 2")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise UsageError("trials must be >= 1")
         if not self.multipliers or not all(math.isfinite(c) and c > 0
                                            for c in self.multipliers):
-            raise ValueError(f"multipliers must be positive and finite, "
+            raise UsageError(f"multipliers must be positive and finite, "
                              f"got {self.multipliers}")
         if self.rule is ProbabilityRule.PERTURBED and self.alpha is None:
-            raise ValueError("the perturbed rule needs alpha")
+            raise UsageError("the perturbed rule needs alpha")
 
     def probability(self, c: float) -> tuple[float, bool]:
         """(clamped p, whether clamping occurred) for multiplier c."""
@@ -178,9 +179,9 @@ def sample_random_subset(n: int, p: float, seed: int) -> IntegerSubset:
     so a trial costs O(n min(p, 1-p)) uniforms; p = 0 and p = 1 draw none.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        raise UsageError(f"p must lie in [0, 1], got {p}")
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise UsageError("n must be >= 2")
     ind = np.zeros(n - 1, dtype=bool)
     q = min(p, 1.0 - p)
     if q > 0.0:
@@ -198,8 +199,7 @@ def contains_product_triple(A: IntegerSubset) -> bool:
     Reads the product rows b in [a, n/a] of A's own indicator in place,
     n = the carrier's upper end, and stops at the first row with a hit.
     """
-    iv = A.interval
-    rows = _mono_rows(A._ind.view(np.int8), iv.hi, TripleSystem.PRODUCT, iv.lo)
+    rows = _mono_rows(A._ind.view(np.int8), TripleSystem.PRODUCT, A.interval.lo)
     return any(mask.any() for *_, mask in rows)
 
 
@@ -230,7 +230,7 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
     on return.
     """
     if blocker is not None and blocker.interval != Interval(2, n):
-        raise ValueError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
+        raise UsageError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
     clock = time.perf_counter
     size = n - 1
     col = ind.view(np.int8)
@@ -250,7 +250,7 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
         if blocker is not None:
             fresh |= blocker._ind[done:final]
             t2 = clock()
-        rows = _mono_rows(col, final + 1, TripleSystem.PRODUCT, 2, since=done + 1)
+        rows = _mono_rows(col[:final], TripleSystem.PRODUCT, 2, since=done + 1)
         hit = any(mask.any() for *_, mask in rows)
         t3 = clock()
         spent[0] += t1 - t0
@@ -346,7 +346,7 @@ def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
     product Schur triple.
     """
     if plan.rule is not ProbabilityRule.RANDOM_THRESHOLD:
-        raise ValueError("threshold_sweep needs a RANDOM_THRESHOLD plan")
+        raise UsageError("threshold_sweep needs a RANDOM_THRESHOLD plan")
     return _sweep(plan, workers, None, {})
 
 
@@ -380,11 +380,11 @@ def degree_structure(Cprime: IntegerSubset, n: int, beta: float
     re-checked on every call.
     """
     if n < 4:
-        raise ValueError("n must be >= 4")
+        raise UsageError("n must be >= 4")
     vmax = math.floor(n ** (0.5 + beta))
     vmax = min(vmax, n)
     if vmax < 2:
-        raise ValueError("vertex set [2, n^(1/2+beta)] is empty")
+        raise UsageError("vertex set [2, n^(1/2+beta)] is empty")
     dense = Cprime.dense(n)
     degrees = np.zeros(vmax + 1, dtype=np.int64)
     for a in range(2, vmax + 1):

@@ -75,6 +75,7 @@ from .core import (
     ResourceGuardError,
     SolverOutcome,
     TripleSystem,
+    UsageError,
     _check_colour_count,
     _mono_rows,
 )
@@ -108,7 +109,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         _check_search_args(self.k, self.node_limit)
         if self.max_n is not None and self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
+            raise UsageError("max_n must be >= 1")
 
 
 class _Run(NamedTuple):
@@ -133,7 +134,7 @@ def _product_pairs(members: Sequence[int], ones: np.ndarray
     lo = members[0]
     bit = {y: 1 << (y - lo) for y in members}
     close: dict[int, list[tuple[int, int]]] = {y - lo: [] for y in members}
-    for a, b0, _, mask in _mono_rows(ones, members[-1], TripleSystem.PRODUCT, lo):
+    for a, b0, _, mask in _mono_rows(ones, TripleSystem.PRODUCT, lo):
         pa, by_a = bit[a], close[a - lo]
         for b in (np.flatnonzero(mask) + b0).tolist():
             c = a * b
@@ -347,7 +348,7 @@ def _goal_search(ground: IntegerSubset, k: int, system: TripleSystem,
 def _check_search_args(k: int, node_limit: Optional[int]) -> None:
     _check_colour_count(k)
     if node_limit is not None and node_limit < 0:
-        raise ValueError("node_limit must be >= 0")
+        raise UsageError("node_limit must be >= 0")
 
 
 def _rechecked(colouring: Colouring, system: TripleSystem) -> Colouring:
@@ -392,13 +393,13 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
     ceiling is the k!e upper bound, which both sum systems respect.
     """
     if system is TripleSystem.PRODUCT:
-        raise ValueError("schur_number is defined for the sum systems; use "
+        raise UsageError("schur_number is defined for the sum systems; use "
                          "is_k_schur/exists_good_colouring on [2,n] grounds "
                          "for the product system")
     if config is None:
         config = SearchConfig(k=k)
     if config.k != k:
-        raise ValueError("config.k disagrees with the call argument k")
+        raise UsageError("config.k disagrees with the call argument k")
     if k > 4 and config.max_n is None:
         raise ResourceGuardError(
             "k >= 5 is beyond desk scale; pass a SearchConfig with an explicit "
@@ -454,7 +455,7 @@ def schur_bounds(k: int) -> tuple[int, int]:
     exact floor for every k >= 1.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     lower = (3 ** k + 1) // 2
     term = 1
     upper = 1  # i = k term: k!/k!

@@ -386,6 +386,54 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "positive and finite" in err
 
+    @pytest.mark.parametrize("exc", [ValueError("boom"), OverflowError("boom"),
+                                     KeyError("boom")])
+    def test_other_exception_is_four_on_one_line(self, exc, monkeypatch, capsys):
+        """Only a `UsageError` is refused input: a ValueError raised inside
+        a computation (at the parent it exited 1 as a usage error), or any
+        other exception (a traceback), is an internal error."""
+        def count(n):
+            raise exc
+
+        monkeypatch.setattr(cli, "count_product_triples", count)
+        assert main(["count", "--what", "triples", "--n", "10"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+    def test_size_beyond_numpy_is_four(self):
+        """n = 1e19 passes every check and fails in numpy's array
+        allocation: not refused input, so exit 4, with no traceback."""
+        env = {**os.environ, "PRODSCHUR_WORKERS": "1",
+               "PYTHONPATH": str(Path(prodschur.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "prodschur.cli", "threshold",
+                               "--n", "10000000000000000000", "--c", "1",
+                               "--trials", "1", "--seed", "0"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == ""
+        assert proc.stderr == "error: ValueError: Maximum allowed dimension exceeded\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--y", "2", "--z", "inf"], "need finite y and z, got y=2.0, z=inf"),
+        (["--y", "2", "--z", "1e400"], "need finite y and z, got y=2.0, z=inf"),
+        (["--y=-inf", "--z", "3"], "need finite y and z, got y=-inf, z=3.0"),
+        (["--y", "nan", "--z", "3"], "need z > y, got y=nan, z=3.0"),
+    ])
+    def test_non_finite_table_ends_are_usage(self, argv, message, capsys):
+        """`--z inf` ended in an OverflowError traceback from the sieve's
+        integer bounds (exit 1 only as Python's own code for it)."""
+        assert main(["count", "--what", "table", "--n", "100", *argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_gstar_n_beyond_floats_is_usage(self, capsys):
+        """An n no float holds ended in an OverflowError traceback."""
+        n = str(2 ** 1024)
+        assert main(["gstar", "--k", "2", "--n", n, "--eps", "0.5"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n must be at most 1.79769e+308")
+
 
 class TestCommands:
     @pytest.mark.parametrize("argv", [

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem
+from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem, UsageError
 from prodschur.constructions import (
     KNOWN_DOUBLE_SUM_SCHUR,
     KNOWN_SCHUR,
@@ -176,6 +177,21 @@ class TestExtremalSizeBounds:
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             max_non_schur_size_bounds(2, 100, 1.5)
+
+    def test_n_beyond_floats_refused(self):
+        """The bounds are floats: an n above the largest float raised
+        OverflowError converting it; the largest float itself is held."""
+        top = int(sys.float_info.max)
+        with pytest.raises(UsageError, match="largest float"):
+            max_non_schur_size_bounds(2, top + 1, 0.5)
+        got = max_non_schur_size_bounds(2, top, 0.5)
+        assert got.lower == pytest.approx(top - top ** 0.2)
+
+    @pytest.mark.parametrize("s,s_prime", [(0, 2), (2, 0), (-1, 2)])
+    def test_supplied_schur_numbers_positive(self, s, s_prime):
+        """s = 0 ended in a ZeroDivisionError."""
+        with pytest.raises(UsageError, match="need s, s_prime >= 1"):
+            max_non_schur_size_bounds(1, 100, 0.5, s=s, s_prime=s_prime)
 
 
 class TestMod5:

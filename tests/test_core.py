@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodschur
 from prodschur import cli
 from prodschur.constructions import (
     _double_sum_base,
@@ -22,6 +23,7 @@ from prodschur.core import (
     IntegerSubset,
     Interval,
     TripleSystem,
+    UsageError,
     _mono_rows,
 )
 from prodschur.counting import (
@@ -183,7 +185,7 @@ class TestAdoptedIndicatorAgainstOracles:
             return [(a, b, shift, mask.tolist())
                     for a, b, shift, mask in _mono_rows(*args)]
 
-        assert rows(col[lo:], hi, system, lo) == rows(col, hi, system, 0)
+        assert rows(col[lo:], system, lo) == rows(col, system, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(TripleSystem)), st.integers(1, 40), st.data())
@@ -199,7 +201,7 @@ class TestAdoptedIndicatorAgainstOracles:
 
         def triples(since):
             out = []
-            for a, b, shift, mask in _mono_rows(col, hi, system, lo, since):
+            for a, b, shift, mask in _mono_rows(col, system, lo, since):
                 for y in (np.flatnonzero(mask) + b).tolist():
                     out.append((a, y, a * y if system is PROD else a + y + shift))
             return out
@@ -482,6 +484,25 @@ def test_only_core_calls_the_copying_colouring_constructor():
                 adopting.append(path.name)
     assert copying == []
     assert set(adopting) == {"cli.py", "constructions.py", "counting.py", "solver.py"}
+
+
+def test_refused_input_is_one_type():
+    """Every check on a caller's argument or input text raises `UsageError`,
+    the one type the CLI maps to exit 1: no module raises a bare
+    ValueError, which the CLI takes for a bug, and `cli` keeps no exception
+    type of its own."""
+    bare = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+    own = [name for name, obj in vars(cli).items() if isinstance(obj, type)
+           and issubclass(obj, BaseException) and obj.__module__ == cli.__name__]
+    assert own == []
+    assert issubclass(UsageError, ValueError) and prodschur.UsageError is UsageError
 
 
 def _goal_found(system, members, k=3):

@@ -13,6 +13,7 @@ from prodschur.core import (
     Interval,
     ResourceGuardError,
     TripleSystem,
+    UsageError,
 )
 from prodschur.counting import (
     TripleCount,
@@ -544,6 +545,21 @@ class TestMinMonochromatic:
         with pytest.raises(ValueError):
             min_monochromatic_bruteforce(5, 0, SUM)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("system", [SUM, DSUM, PROD])
+    def test_minimiser_is_recounted(self, system, k, monkeypatch):
+        """A kernel that returned a cost its colouring does not have would
+        be an internal error, not a result."""
+        real = counting._branch_and_bound
+
+        def kernel(n, k, system, leave_out):
+            cost, colouring = real(n, k, system, leave_out)
+            return cost + 1, colouring
+
+        monkeypatch.setattr(counting, "_branch_and_bound", kernel)
+        with pytest.raises(RuntimeError, match="internal error"):
+            min_monochromatic_bruteforce(9, k, system)
+
 
 class TestDivisorCounts:
     def test_examples(self):
@@ -585,6 +601,20 @@ class TestMultiplicationTable:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             multiplication_table_count(50, 5, 5)
+
+    @pytest.mark.parametrize("y,z", [(2.0, math.inf), (2.0, float("1e400")),
+                                     (-math.inf, 3.0), (-math.inf, math.inf)])
+    def test_non_finite_ends_refused_before_the_sieve(self, y, z, monkeypatch):
+        """An infinite end used to reach math.floor/math.ceil in the sieve
+        and end in an OverflowError."""
+        def zeros(*args, **kwargs):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(counting.np, "zeros", zeros)
+        with pytest.raises(UsageError, match="need finite y and z"):
+            divisors_in_interval_indicator(100, y, z)
+        with pytest.raises(UsageError, match="need finite y and z"):
+            multiplication_table_count(100, y, z)
 
     def test_oracle_random_instances(self, rng):
         for _ in range(30):
