@@ -59,7 +59,6 @@ from .randomlab import (
     _resolve_workers,
     contains_product_triple,
     derive_seed,
-    perturbed_sweep,
     threshold_sweep,
 )
 from .solver import SearchConfig, schur_number
@@ -472,27 +471,19 @@ def _sweep_timings(records) -> dict:
             for k in records[0].timings}
 
 
-def _cmd_threshold(args, argv: list[str]) -> int:
-    plan = SweepPlan(n=args.n, multipliers=_parse_multipliers(args.c),
-                     trials=args.trials, master_seed=args.seed,
-                     rule=ProbabilityRule.RANDOM_THRESHOLD)
+def _cmd_sweep(args, argv: list[str]) -> int:
+    """`threshold` and `perturbed`: the command names the plan's rule."""
+    rule, alpha, extra_cols = ProbabilityRule.RANDOM_THRESHOLD, None, ()
+    if args.command == "perturbed":
+        rule, extra_cols = ProbabilityRule.PERTURBED, ("alpha", "beta_alpha", "blocker_size")
+        alpha = args.alpha if args.alpha is not None else alpha_for_rate(0.25)
+    plan = SweepPlan(n=args.n, multipliers=_parse_multipliers(args.c), trials=args.trials,
+                     master_seed=args.seed, rule=rule, alpha=alpha)
     t0 = time.perf_counter()
     records = threshold_sweep(plan)
     wall = time.perf_counter() - t0
-    _emit(args, argv, _records_to_csv(records), args.seed, wall,
+    _emit(args, argv, _records_to_csv(records, extra_cols), args.seed, wall,
           _sweep_timings(records))
-    return EXIT_OK
-
-
-def _cmd_perturbed(args, argv: list[str]) -> int:
-    alpha = args.alpha if args.alpha is not None else alpha_for_rate(0.25)
-    t0 = time.perf_counter()
-    records = perturbed_sweep(args.n, alpha, _parse_multipliers(args.c),
-                              args.trials, args.seed)
-    wall = time.perf_counter() - t0
-    payload = _records_to_csv(records,
-                              extra_cols=("alpha", "beta_alpha", "blocker_size"))
-    _emit(args, argv, payload, args.seed, wall, _sweep_timings(records))
     return EXIT_OK
 
 
@@ -550,7 +541,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_threshold)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("perturbed", help="randomly perturbed sweep (CSV)")
     p.add_argument("--n", type=int, required=True)
@@ -560,7 +551,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_perturbed)
+    p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -63,10 +63,13 @@ def count_product_triples(n: int) -> TripleCount:
 
     off_diagonal = sum_{a=2..floor(sqrt n)} (floor(n/a) - a) and the
     diagonal is the number of squares a^2 <= n with a >= 2; both purely
-    integer arithmetic.
+    integer arithmetic.  The sum is a Python loop of sqrt(n) steps, so n
+    is capped at 1e16, 1e8 steps.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    if n > 10 ** 16:
+        raise ResourceGuardError("product-triple census beyond n = 1e16 exceeds the time guard")
     r = math.isqrt(n)
     off = sum(n // a - a for a in range(2, r + 1))
     diag = max(r - 1, 0)

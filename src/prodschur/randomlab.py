@@ -10,6 +10,10 @@ A sweep trial draws its set prefix by prefix and stops at the first
 product triple whose largest member has been drawn.  It reads its Philox
 stream in the same order as `sample_random_subset`, so the sets, and the
 success counts, are those of drawing [2, n] whole and scanning it.
+
+A `SweepPlan` describes a sweep and `threshold_sweep` runs any plan: the
+plan's rule alone decides the probability scale, the blocker every
+sample is united with and the records' annotations.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class SweepPlan:
                              f"got {self.multipliers}")
         if self.rule is ProbabilityRule.PERTURBED and self.alpha is None:
             raise UsageError("the perturbed rule needs alpha")
+        if self.rule is ProbabilityRule.RANDOM_THRESHOLD and self.alpha is not None:
+            raise UsageError(f"the random-threshold rule takes no alpha, got {self.alpha}")
 
     def probability(self, c: float) -> tuple[float, bool]:
         """(clamped p, whether clamping occurred) for multiplier c."""
@@ -313,12 +319,24 @@ def _close_pool() -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def _sweep(plan: SweepPlan, workers: Optional[int],
-           blocker: Optional[IntegerSubset], extra: dict) -> list[ExperimentRecord]:
-    """One record per multiplier; trial t of multiplier ci uses
-    derive_seed(master, ci, t).  The trials of every multiplier are split
-    round-robin into `workers` chunks each and queued on the live pool
-    at once."""
+def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
+                    ) -> list[ExperimentRecord]:
+    """Success frequency of containing a product triple across multipliers.
+
+    For each multiplier c, counts how many of plan.trials samples of
+    [2, n]_p, p = plan.probability(c), contain a product Schur triple.
+    The perturbed rule unites every sample with perturbed_blocker_set(n,
+    alpha), built once, and annotates alpha, the exponent offset and the
+    blocker's size.  Trial t of multiplier ci uses derive_seed(master,
+    ci, t); each multiplier's trials are split round-robin into
+    `workers` chunks, all queued on the live pool at once.
+    """
+    blocker, extra = None, {}
+    if plan.rule is ProbabilityRule.PERTURBED:
+        blocker = perturbed_blocker_set(plan.n, plan.alpha)
+        size = blocker.cardinality()
+        extra = {"alpha": plan.alpha, "beta_alpha": threshold_exponent_offset(plan.alpha),
+                 "blocker_size": size, "blocker_fraction": size / plan.n}
     workers = _resolve_workers(workers)
     serial = workers <= 1 or plan.trials < 2 * workers
     step = 1 if serial else workers
@@ -337,36 +355,15 @@ def _sweep(plan: SweepPlan, workers: Optional[int],
     return records
 
 
-def threshold_sweep(plan: SweepPlan, workers: Optional[int] = None
-                    ) -> list[ExperimentRecord]:
-    """Success frequency of containing a product triple across multipliers.
-
-    For each multiplier c, runs plan.trials independent samples of
-    [2,n]_p at p = c (n ln n)^(-1/3) and records how many contained a
-    product Schur triple.
-    """
-    if plan.rule is not ProbabilityRule.RANDOM_THRESHOLD:
-        raise UsageError("threshold_sweep needs a RANDOM_THRESHOLD plan")
-    return _sweep(plan, workers, None, {})
-
-
 def perturbed_sweep(n: int, alpha: float, multipliers: Sequence[float],
                     trials: int, master_seed: int,
                     workers: Optional[int] = None) -> list[ExperimentRecord]:
-    """Perturbed-threshold sweep against the blocker construction.
-
-    Probabilities follow p = c * n^(-1/2 + offset(alpha)); the blocker
-    set is built once and shared across all trials.  Records annotate
-    alpha, the exponent offset, and the blocker's size.
-    """
-    plan = SweepPlan(n=n, multipliers=tuple(multipliers), trials=trials,
-                     master_seed=master_seed, rule=ProbabilityRule.PERTURBED,
-                     alpha=alpha)
-    blocker = perturbed_blocker_set(n, alpha)
-    size = blocker.cardinality()
-    return _sweep(plan, workers, blocker,
-                  {"alpha": alpha, "beta_alpha": threshold_exponent_offset(alpha),
-                   "blocker_size": size, "blocker_fraction": size / n})
+    """threshold_sweep of the perturbed plan: p = c * n^(-1/2 + offset(alpha)),
+    every sample united with the blocker construction."""
+    return threshold_sweep(SweepPlan(n=n, multipliers=tuple(multipliers), trials=trials,
+                                     master_seed=master_seed,
+                                     rule=ProbabilityRule.PERTURBED, alpha=alpha),
+                           workers)
 
 
 def degree_structure(Cprime: IntegerSubset, n: int, beta: float

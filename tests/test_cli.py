@@ -414,6 +414,16 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "error: ValueError: Maximum allowed dimension exceeded\n"
 
+    def test_census_beyond_its_guard_is_three(self, capsys):
+        """n = 1e19 would loop over 3.2e9 values of a in Python (minutes);
+        it is refused before the loop."""
+        argv = ["count", "--what", "triples", "--n", "10000000000000000000"]
+        assert main(argv) == EXIT_GUARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("resource guard: product-triple census beyond n = 1e16 "
+                       "exceeds the time guard\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["--y", "2", "--z", "inf"], "need finite y and z, got y=2.0, z=inf"),
         (["--y", "2", "--z", "1e400"], "need finite y and z, got y=2.0, z=inf"),
@@ -607,6 +617,14 @@ class TestCommands:
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
             "workers": 3}
+
+    def test_version_has_one_value(self):
+        """The manifest's version names the random stream, so the package
+        and its metadata must agree."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(prodschur.__file__).parents[2] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == __version__
 
     def test_construct_blocker(self, tmp_path, capsys):
         out = tmp_path / "blocker.txt"

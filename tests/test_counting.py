@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -272,6 +273,14 @@ class TestCountProductTriples:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             TripleCount(total=5, off_diagonal=3, diagonal=1)
+
+    def test_guard_refuses_before_the_loop(self):
+        """The census is a Python loop of sqrt(n) steps: 1e8 steps at the
+        guard; one past it is refused at once."""
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="census beyond n = 1e16"):
+            count_product_triples(10 ** 16 + 1)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def product_listing(n):

@@ -238,11 +238,17 @@ class TestThresholdSweep:
         freqs = [r.frequency for r in records]
         assert freqs[0] <= freqs[1] + 0.2 and freqs[1] <= freqs[2] + 0.2
 
-    def test_rule_mismatch(self):
-        plan = SweepPlan(n=100, multipliers=(1.0,), trials=5, master_seed=0,
-                         rule=ProbabilityRule.PERTURBED, alpha=0.5)
-        with pytest.raises(ValueError):
-            threshold_sweep(plan)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_perturbed_plan_runs_as_perturbed_sweep(self, workers):
+        """The plan's rule decides the blocker and the annotations, so a
+        perturbed plan gives perturbed_sweep's records."""
+        alpha = alpha_for_rate(0.25)
+        plan = SweepPlan(n=10 ** 4, multipliers=(0.5, 2.0), trials=12, master_seed=9,
+                         rule=ProbabilityRule.PERTURBED, alpha=alpha)
+        records = threshold_sweep(plan, workers=workers)
+        assert records == perturbed_sweep(10 ** 4, alpha, (0.5, 2.0), trials=12,
+                                          master_seed=9, workers=3 - workers)
+        assert all(rec.extra["blocker_size"] > 0 for rec in records)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -252,6 +258,9 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             SweepPlan(n=100, multipliers=(1.0,), trials=5, master_seed=0,
                       rule=ProbabilityRule.PERTURBED)  # alpha missing
+        with pytest.raises(ValueError, match="takes no alpha"):
+            SweepPlan(n=10 ** 4, multipliers=(1.0,), trials=3, master_seed=0,
+                      alpha=0.52)  # alpha under the default random-threshold rule
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_multipliers_positive_and_finite(self, bad):
