@@ -535,23 +535,18 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("threshold", help="random-set threshold sweep (CSV)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True, help="comma-separated multipliers")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("perturbed", help="randomly perturbed sweep (CSV)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="default: the density with rate 1/4")
-    p.add_argument("--c", required=True, help="comma-separated multipliers")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
+    for name, text in (("threshold", "random-set threshold sweep (CSV)"),
+                       ("perturbed", "randomly perturbed sweep (CSV)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        if name == "perturbed":  # only here, so threshold's config digest keeps its keys
+            p.add_argument("--alpha", type=float, default=None,
+                           help="default: the density with rate 1/4")
+        p.add_argument("--c", required=True, help="comma-separated multipliers")
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -19,13 +19,12 @@ import numpy as np
 
 from .core import Colouring, IntegerSubset, Interval, TripleSystem, UsageError
 from . import counting
-from .counting import erdos_ford_delta, has_mono_triple
+from .counting import _rechecked, erdos_ford_delta
 
 # Exact small Schur numbers: least n such that every k-colouring of [n]
-# has a monochromatic a+b=c (plain), resp. a+b=c or a+b=c-1 (double).
-# Cross-checked against the exact solver in the test suite.
+# has a monochromatic a+b=c (KNOWN_DOUBLE_SUM_SCHUR below: a+b=c or
+# a+b=c-1).  Cross-checked against the exact solver in the test suite.
 KNOWN_SCHUR = {1: 2, 2: 5, 3: 14, 4: 45}
-KNOWN_DOUBLE_SUM_SCHUR = {1: 2, 2: 5, 3: 14, 4: 41}
 
 _ALPHA_TOL = 1e-15  # alpha_for_rate's bisection stops at a bracket this narrow
 
@@ -102,45 +101,38 @@ def log_partition_boundaries(n: int, parts: int) -> np.ndarray:
 
 # Colour sequences of witness colourings of [1, S'(k)-1] free of a+b=c and
 # a+b=c-1: the witnesses the exact solver returns, cross-checked against
-# it in the test suite and re-checked on every use.
+# it in the test suite and re-checked on every use.  They also give S'(k).
 _DOUBLE_SUM_WITNESSES = {
     1: "1",
     2: "1221",
     3: "1221331331221",
     4: "1221331331221441441221441441221331331221",
 }
+KNOWN_DOUBLE_SUM_SCHUR = {k: len(w) + 1 for k, w in _DOUBLE_SUM_WITNESSES.items()}
 
 
 def _double_sum_base(k: int) -> Colouring:
-    """Witness colouring of [S'(k)-1] free of a+b=c and a+b=c-1."""
+    """Witness colouring of [S'(k)-1] free of a+b=c and a+b=c-1, re-checked."""
     if k not in _DOUBLE_SUM_WITNESSES:
-        raise UsageError(f"no built-in double-sum Schur number for k={k}; "
-                         f"pass an explicit base colouring")
+        raise UsageError(f"no built-in double-sum Schur number for k={k}")
     digits = _DOUBLE_SUM_WITNESSES[k]
     colours = np.frombuffer(digits.encode(), dtype=np.int8) - np.int8(ord("0"))
-    return Colouring._adopt(Interval(1, len(digits)), k, colours)
+    return _rechecked(Colouring._adopt(Interval(1, len(digits)), k, colours),
+                      TripleSystem.DOUBLE_SUM)
 
 
-def product_free_colouring(k: int, n: int, base: Optional[Colouring] = None) -> Colouring:
+def product_free_colouring(k: int, n: int) -> Colouring:
     """k-colouring of (n^(1/s), n] with no monochromatic product, s = S'(k).
 
     Integer a receives the base colour of its logarithmic cell index
     ceil(s * log_n(a)) - 1.  A product ab = c adds log-indices up to the
     double-sum slack, so freeness of the base colouring transfers.  The
-    base must be a k-colouring of [s-1] free of a+b=c and a+b=c-1; if
-    omitted the built-in witness is used (k <= 4).
+    base is the shipped witness colouring of [s-1] free of a+b=c and
+    a+b=c-1, for k <= 4; it is re-checked on every call, and a witness
+    that fails is an internal error (RuntimeError).
     """
-    if base is None:
-        base = _double_sum_base(k)
+    base = _double_sum_base(k)
     s = base.ground.interval.hi + 1
-    if base.ground.interval.lo != 1 or base.ground.cardinality() != s - 1:
-        raise UsageError("base must colour the full interval [1, s-1]")
-    if base.k != k:
-        raise UsageError(f"base has {base.k} colours, expected {k}")
-    bad = has_mono_triple(base, TripleSystem.DOUBLE_SUM)
-    if bad is not None:
-        raise UsageError(f"base colouring admits the monochromatic solution {bad}")
-
     lo = integer_nth_root(n, s) + 1
     if lo > n:
         raise UsageError(f"ground interval (n^(1/{s}), {n}] is empty")

@@ -9,7 +9,8 @@ read from the rows of `core._mono_rows` on the colouring's own carrier
 array: `count_monochromatic` counts them,
 `constructions.verify_colouring_free` lists them, and `has_mono_triple`
 returns the first.  A ground is always a carrier interval [lo, hi], so
-each costs O(hi - lo) memory, not O(hi).
+each costs O(hi - lo) memory, not O(hi).  `_rechecked`, the one re-check
+of every colouring the library returns, counts them.
 
 Counting conventions matter here: the census of product triples counts
 unordered pairs a <= b (split into off-diagonal a < b and diagonal
@@ -154,11 +155,10 @@ def has_mono_triple(colouring: Colouring, system: TripleSystem
 
     Returns (a, b, c, colour) with a <= b, least by (a, b, c) (so c
     before c + 1 in the double-sum system), or None.  It is the first
-    entry of the full listing, and the library calls it to re-check
-    every colouring a search returns, of any size.  A colouring with no
-    triple lists nothing: the sum systems stop at a zero convolution
-    count, and products read each row once.  Only a colouring with
-    triples pays for listing them all.
+    entry of the full listing.  A colouring with no triple lists nothing:
+    the sum systems stop at a zero convolution count, and products read
+    each row once.  Only a colouring with triples pays for listing them
+    all.
     """
     triples = _mono_scan(colouring, system, collect=True)[1]
     return (*triples[0], colouring.colour_of(triples[0][0])) if triples else None
@@ -167,6 +167,16 @@ def has_mono_triple(colouring: Colouring, system: TripleSystem
 def count_monochromatic(colouring: Colouring, system: TripleSystem) -> int:
     """Exact number of monochromatic triples (a <= b) inside the ground set."""
     return _mono_scan(colouring, system, collect=False)[0]
+
+
+def _rechecked(colouring: Colouring, system: TripleSystem, triples: int = 0) -> Colouring:
+    """`colouring`, if it has `triples` monochromatic triples; else the code
+    that built it is at fault, an internal error (RuntimeError), not a result."""
+    count = count_monochromatic(colouring, system)
+    if count != triples:
+        raise RuntimeError(f"internal error: colouring fails re-check with {count} "
+                           f"monochromatic triples, expected {triples}")
+    return colouring
 
 
 # The branch-and-bound recurses once per member, so the cap keeps its depth far
@@ -261,9 +271,7 @@ def min_monochromatic_bruteforce(n: int, k: int, system: TripleSystem
     k >= 2 the minimiser's triples are re-counted before it is returned.
     """
     cost, colouring = _branch_and_bound(n, k, system, leave_out=False)
-    if k > 1 and count_monochromatic(colouring, system) != cost:
-        raise RuntimeError(f"internal error: minimiser fails re-count of {cost} triples")
-    return cost, colouring
+    return cost, (colouring if k == 1 else _rechecked(colouring, system, cost))
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,12 @@ def _resolve_workers(workers: Optional[int]) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:  # the environment is outside input
+        raise UsageError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 class ProbabilityRule(Enum):
@@ -235,8 +238,9 @@ def _trial(n: int, p: float, blocker: Optional[IntegerSubset],
     Draws into `ind`, n - 1 bools all False, which are all False again
     on return.
     """
-    if blocker is not None and blocker.interval != Interval(2, n):
-        raise UsageError(f"the blocker must be carried on [2, {n}], got {blocker!r}")
+    if blocker is not None and blocker.interval != Interval(2, n):  # the sweep built it
+        raise RuntimeError(f"internal error: the blocker must be carried on [2, {n}], "
+                           f"got {blocker!r}")
     clock = time.perf_counter
     size = n - 1
     col = ind.view(np.int8)

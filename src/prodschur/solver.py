@@ -1,7 +1,7 @@
 """Exact Schur-type search: S(k), S'(k), k-Schurness, extremal subsets.
 
 Two searches answer the exact queries; each takes its ground and returns
-a `Colouring`, which the query re-checks.  Every goal query runs
+a `Colouring`, which `counting._rechecked` re-checks.  Every goal query runs
 `_goal_search`, under all three triple systems: `exists_good_colouring`
 and `is_k_schur` on their ground, and `schur_number` on [1, n] for
 n = 1, 2, ... until some [1, n] has no good colouring.  Having one is
@@ -79,7 +79,7 @@ from .core import (
     _check_colour_count,
     _mono_rows,
 )
-from .counting import _branch_and_bound, has_mono_triple
+from .counting import _branch_and_bound, _rechecked
 
 
 class SearchInconclusive(Exception):
@@ -351,15 +351,6 @@ def _check_search_args(k: int, node_limit: Optional[int]) -> None:
         raise UsageError("node_limit must be >= 0")
 
 
-def _rechecked(colouring: Colouring, system: TripleSystem) -> Colouring:
-    """`colouring`, unless it has a monochromatic triple: then a search
-    is at fault, and that is an internal error, not a result."""
-    check = has_mono_triple(colouring, system)
-    if check is not None:
-        raise RuntimeError(f"internal error: colouring fails re-check with {check}")
-    return colouring
-
-
 def exists_good_colouring(ground: IntegerSubset, k: int, system: TripleSystem,
                           *, node_limit: Optional[int] = None) -> Optional[Colouring]:
     """A k-colouring of `ground` with no monochromatic triple, or None.
@@ -389,7 +380,9 @@ def schur_number(k: int, system: TripleSystem = TripleSystem.SUM,
     `config.node_limit` caps their total.  If the limit or the ceiling
     stops the run first, the outcome is inconclusive: `lower_bound` is one
     more than the largest n found good, and the witness is the colouring
-    the ascent found for that n, which need not be the least.  The default
+    the ascent found for that n, which need not be the least.  A limit
+    that cuts only the witness search leaves the run inconclusive too,
+    although [1, S] was refuted: `lower_bound` is S.  The default
     ceiling is the k!e upper bound, which both sum systems respect.
     """
     if system is TripleSystem.PRODUCT:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -33,6 +34,7 @@ from prodschur.constructions import (
     product_free_colouring,
     verify_colouring_free,
 )
+from prodschur.counting import multiplication_table_count
 from conftest import brute_mono_triples
 
 
@@ -345,6 +347,20 @@ class TestExitCodes:
                 EXIT_INCONCLUSIVE
             assert "inconclusive" in capsys.readouterr().out
 
+    def test_limit_cutting_only_the_witness_search_is_two(self, tmp_path, capsys):
+        """110 nodes let the S(3) ascent refute [1, 14] but cut the search for
+        the least colouring of [1, 13]: still inconclusive, and the witness
+        written is the ascent's good colouring of [1, 13]."""
+        out = tmp_path / "witness.txt"
+        argv = ["schur", "--k", "3", "--node-limit", "110", "--out", str(out)]
+        assert main(argv) == EXIT_INCONCLUSIVE
+        report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (report["value"], report["lower_bound"], report["nodes_explored"]) == \
+            ("inconclusive", "14", "110")
+        witness = colouring_from_text(out.read_text())
+        assert witness.ground == IntegerSubset.full(1, 13)
+        assert verify_colouring_free(witness, TripleSystem.SUM) == []
+
     @pytest.mark.parametrize("argv", [["--k", "0"], ["--k", "128"], ["--k", "200"],
                                       ["--k", "200", "--max-n", "3"]])
     def test_colour_count_out_of_range_is_usage(self, argv, capsys):
@@ -363,10 +379,34 @@ class TestExitCodes:
     def test_internal_error_is_four(self, monkeypatch, capsys):
         """A witness that fails its re-check is an internal error, and its
         exit code is not the usage code."""
-        monkeypatch.setattr(prodschur.solver, "has_mono_triple",
-                            lambda colouring, system: (1, 1, 2, 1))
+        monkeypatch.setattr(prodschur.counting, "count_monochromatic",
+                            lambda colouring, system: 1)
         assert main(["schur", "--k", "2"]) == EXIT_INTERNAL != EXIT_USAGE
         assert "internal error" in capsys.readouterr().err
+
+    def test_corrupted_shipped_witness_is_four(self, monkeypatch, capsys):
+        """The log-product base is shipped data: one that fails its
+        re-check exited 1, as if the caller's input were at fault."""
+        monkeypatch.setitem(prodschur.constructions._DOUBLE_SUM_WITNESSES, 2, "1111")
+        argv = ["construct", "--name", "log-product", "--k", "2", "--n", "100"]
+        assert main(argv) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: RuntimeError: internal error")
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--n", "100", "--c", "1", "--trials", "2", "--seed", "1"],
+        ["construct", "--name", "mod5", "--n", "20", "--out", "{out}"]])
+    def test_bad_worker_count_is_usage(self, argv, tmp_path, monkeypatch, capsys):
+        """PRODSCHUR_WORKERS is outside input: a value int() rejects exited
+        4, and a construct run did all its work before it failed."""
+        monkeypatch.setenv("PRODSCHUR_WORKERS", "abc")
+        out = tmp_path / "artifact.txt"
+        assert main([a.format(out=out) for a in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: PRODSCHUR_WORKERS must be an integer, got 'abc'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_value_error_is_usage(self, capsys):
         assert main(["gstar", "--k", "2", "--n", "100", "--eps", "2.0"]) == EXIT_USAGE
@@ -479,6 +519,17 @@ class TestCommands:
                      "--y", "2", "--z", "5"]) == EXIT_OK
         assert "exact: 10" in capsys.readouterr().out
 
+    def test_count_table_theta_lines(self, capsys):
+        """The README's table count meets the shape theorem's preconditions,
+        so it prints the reference lines as well."""
+        assert main(["count", "--what", "table", "--n", "100000",
+                     "--y", "177", "--z", "562"]) == EXIT_OK
+        est = multiplication_table_count(100000, 177.0, 562.0)
+        assert est.ratio is not None
+        assert capsys.readouterr().out == (f"exact: {est.exact}\nu: {est.u:.6f}\n"
+                                           f"theta_form: {est.theta_form:.1f}\n"
+                                           f"ratio: {est.ratio:.4f}\n")
+
     def test_count_supersat(self, capsys):
         assert main(["count", "--what", "supersat", "--n", "100"]) == EXIT_OK
         assert "count: 81" in capsys.readouterr().out
@@ -512,10 +563,20 @@ class TestCommands:
         (["count", "--what", "mono", "--n", "100", "--name", "log-product"],
          "--k is required"),
         (["construct", "--name", "log-product", "--n", "100"], "--k is required"),
+        (["construct", "--name", "log-product", "--k", "5", "--n", "100"],
+         "error: no built-in double-sum Schur number for k=5\n"),
+        (["construct", "--name", "log-product", "--k", "2", "--n", "1"],
+         "ground interval (n^(1/5), 1] is empty"),
+        (["construct", "--name", "blocker", "--n", "100"], "--alpha is required for blocker"),
+        (["count", "--what", "table", "--n", "100", "--y", "2"],
+         "--y and --z are required for table counts"),
+        (["threshold", "--n", "100", "--c", "1,abc", "--trials", "2", "--seed", "1"],
+         "bad multiplier list '1,abc'"),
     ])
     def test_construction_usage_errors(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
-        assert message in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_count_mono_mod5(self, capsys):
         assert main(["count", "--what", "mono", "--n", "100",
@@ -625,6 +686,25 @@ class TestCommands:
         pyproject = Path(prodschur.__file__).parents[2] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == __version__
+
+    def test_readme_quick_tour_runs(self):
+        """The README's library tour runs as printed, and every expression
+        whose comment is a Python literal evaluates to that literal."""
+        readme = (Path(prodschur.__file__).parents[2] / "README.md").read_text()
+        code = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme,
+                         re.DOTALL).group(1)
+        lines, namespace, checked = code.splitlines(), {}, []
+        for stmt in ast.parse(code).body:
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            try:
+                expected = ast.literal_eval(comment)
+            except (ValueError, SyntaxError):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == expected, ast.unparse(stmt)
+            checked.append(expected)
+        assert checked == [14, (41, 65), [], 137, (12, 60)]
 
     def test_construct_blocker(self, tmp_path, capsys):
         out = tmp_path / "blocker.txt"

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from prodschur import constructions
 from prodschur.core import Colouring, IntegerSubset, Interval, TripleSystem, UsageError
 from prodschur.constructions import (
     KNOWN_DOUBLE_SUM_SCHUR,
@@ -109,8 +110,8 @@ class TestProductFreeColouring:
 
     def test_boundary_element_gets_last_cell(self):
         n = 10 ** 4
-        base = schur_number(2, DSUM).witness
-        col = product_free_colouring(2, n, base)
+        base = _double_sum_base(2)
+        col = product_free_colouring(2, n)
         assert col.colour_of(n) == base.colour_of(KNOWN_DOUBLE_SUM_SCHUR[2] - 1)
 
     def test_ground_is_open_at_integer_root(self):
@@ -134,17 +135,13 @@ class TestProductFreeColouring:
                     total = cell[a] + cell[b]
                     assert total in (cell[a * b], cell[a * b] - 1), (a, b)
 
-    def test_bad_base_rejected(self):
-        ground = IntegerSubset.full(1, 4)
-        all_one = Colouring.from_map(ground, 2, class_map([[1, 2, 3, 4]]))
-        with pytest.raises(ValueError):
-            product_free_colouring(2, 10 ** 4, all_one)
-
-    def test_base_interval_must_start_at_one(self):
-        ground = IntegerSubset.from_members(Interval(1, 4), [2, 3, 4])
-        base = Colouring.from_map(ground, 2, {2: 1, 3: 2, 4: 2})
-        with pytest.raises(ValueError):
-            product_free_colouring(2, 10 ** 4, base)
+    def test_corrupted_shipped_witness_is_an_internal_error(self, monkeypatch):
+        """The base is shipped data, not caller input: a witness that fails
+        its re-check (1 + 1 = 2 in one colour) is a bug, not a usage error."""
+        monkeypatch.setitem(constructions._DOUBLE_SUM_WITNESSES, 2, "1111")
+        with pytest.raises(RuntimeError, match="internal error.* 6 monochromatic "
+                                               "triples, expected 0"):
+            product_free_colouring(2, 10 ** 4)
 
 
 class TestExtremalSizeBounds:
@@ -329,3 +326,4 @@ class TestVerifyColouringFree:
         for k in (1, 2, 3):
             assert schur_number(k, SUM).value == KNOWN_SCHUR[k]
             assert schur_number(k, DSUM).value == KNOWN_DOUBLE_SUM_SCHUR[k]
+        assert KNOWN_DOUBLE_SUM_SCHUR == {1: 2, 2: 5, 3: 14, 4: 41}
