@@ -13,6 +13,15 @@ that failed its own re-check, reported on one line naming its type.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # This process is the command line, and the library calls no BLAS: keep
+    # numpy's OpenBLAS from starting a worker thread per extra core, which
+    # only spins (0.12-0.17 s of CPU per command on a 2-core VM).  A user's
+    # own setting wins.  This runs before the first import that loads numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import hashlib
@@ -262,31 +271,34 @@ def colouring_from_text(text: str) -> Colouring:
 # manifest plumbing
 # ---------------------------------------------------------------------------
 
-def _manifest(args: argparse.Namespace, argv: list[str], seed: Optional[int],
-              wall: float, timings: Optional[dict] = None) -> dict:
+def _manifest(args: argparse.Namespace, argv: list[str], workers: int,
+              seed: Optional[int], wall: float, timings: Optional[dict] = None) -> dict:
+    import shlex  # here, not at the top: only a run that writes a manifest needs it
+
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str)
                             .encode()).hexdigest()
     manifest = {
-        "command": " ".join(argv),
+        "command": shlex.join(argv),
         "config_digest": digest,
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(wall, 3),
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
-                        "workers": _resolve_workers(None)},
+                        "workers": workers},
     }
     if timings is not None:
         manifest["timings"] = timings
     return manifest
 
 
-def _emit(args: argparse.Namespace, argv: list[str], payload: str,
+def _emit(args: argparse.Namespace, argv: list[str], workers: int, payload: str,
           seed: Optional[int], wall: float, timings: Optional[dict] = None) -> None:
     """Write the payload and its manifest; `argv` is the command line `args`
-    were parsed from, `timings` are per-phase seconds."""
-    manifest = _manifest(args, argv, seed, wall, timings)
+    were parsed from, `workers` the resolved worker count, `timings` are
+    per-phase seconds."""
+    manifest = _manifest(args, argv, workers, seed, wall, timings)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -316,7 +328,7 @@ def _records_to_csv(records, extra_cols: tuple[str, ...] = ()) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_schur(args, argv: list[str]) -> int:
+def _cmd_schur(args, argv: list[str], workers: Optional[int]) -> int:
     system = TripleSystem.parse(args.system)
     config = SearchConfig(k=args.k, max_n=args.max_n, node_limit=args.node_limit)
     t0 = time.perf_counter()
@@ -332,11 +344,11 @@ def _cmd_schur(args, argv: list[str]) -> int:
     print(f"ns_per_node: {outcome.ns_per_node:.0f}")
     print(f"elapsed_s: {outcome.elapsed:.3f}")
     if outcome.witness is not None and args.out:
-        _emit(args, argv, colouring_to_text(outcome.witness), None, wall)
+        _emit(args, argv, workers, colouring_to_text(outcome.witness), None, wall)
     return EXIT_OK if outcome.conclusive else EXIT_INCONCLUSIVE
 
 
-def _cmd_gstar(args, argv: list[str]) -> int:
+def _cmd_gstar(args, argv: list[str], workers: Optional[int]) -> int:
     bounds = max_non_schur_size_bounds(args.k, args.n, args.eps,
                                        s=args.s, s_prime=args.s_prime)
     print(f"lower: {bounds.lower}")
@@ -389,7 +401,7 @@ def _construction(args):
     return lambda: perturbed_blocker_set(n, args.alpha), report, subset_to_text
 
 
-def _cmd_construct(args, argv: list[str]) -> int:
+def _cmd_construct(args, argv: list[str], workers: Optional[int]) -> int:
     build, report, to_text = _construction(args)
     t0 = time.perf_counter()
     obj = build()
@@ -401,11 +413,11 @@ def _cmd_construct(args, argv: list[str]) -> int:
     timings = {"build_s": round(t1 - t0, 6), "verify_s": round(t2 - t1, 6),
                "serialise_s": round(t3 - t2, 6)}
     print(text, end="", file=sys.stderr)
-    _emit(args, argv, payload, None, t3 - t0, timings)
+    _emit(args, argv, workers, payload, None, t3 - t0, timings)
     return EXIT_OK
 
 
-def _cmd_count(args, argv: list[str]) -> int:
+def _cmd_count(args, argv: list[str], workers: Optional[int]) -> int:
     what = args.what
     if what == "triples":
         if args.n < 2:  # the reference 0.5 n log n is 0 at n = 1
@@ -471,7 +483,7 @@ def _sweep_timings(records) -> dict:
             for k in records[0].timings}
 
 
-def _cmd_sweep(args, argv: list[str]) -> int:
+def _cmd_sweep(args, argv: list[str], workers: Optional[int]) -> int:
     """`threshold` and `perturbed`: the command names the plan's rule."""
     rule, alpha, extra_cols = ProbabilityRule.RANDOM_THRESHOLD, None, ()
     if args.command == "perturbed":
@@ -480,9 +492,9 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     plan = SweepPlan(n=args.n, multipliers=_parse_multipliers(args.c), trials=args.trials,
                      master_seed=args.seed, rule=rule, alpha=alpha)
     t0 = time.perf_counter()
-    records = threshold_sweep(plan)
+    records = threshold_sweep(plan, workers)
     wall = time.perf_counter() - t0
-    _emit(args, argv, _records_to_csv(records, extra_cols), args.seed, wall,
+    _emit(args, argv, workers, _records_to_csv(records, extra_cols), args.seed, wall,
           _sweep_timings(records))
     return EXIT_OK
 
@@ -557,7 +569,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        # a run that writes a manifest reads PRODSCHUR_WORKERS before any work
+        emits = args.command in ("construct", "threshold", "perturbed") or (
+            args.command == "schur" and args.out)
+        return args.func(args, argv, _resolve_workers(None) if emits else None)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -288,6 +288,10 @@ def erdos_ford_delta() -> float:
     return 1.0 - (1.0 + math.log(math.log(2.0))) / math.log(2.0)
 
 
+# the largest n either sieve over [1, n] takes: its table is n + 1 entries
+_SIEVE_MAX_N = 10 ** 9
+
+
 def divisor_count_table(n: int) -> np.ndarray:
     """tau(m) for every m in [1, n], via the paired-divisor sieve.
 
@@ -297,7 +301,7 @@ def divisor_count_table(n: int) -> np.ndarray:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    if n > 10 ** 9:
+    if n > _SIEVE_MAX_N:
         raise ResourceGuardError("divisor table beyond n = 1e9 exceeds the memory guard")
     counts = np.zeros(n + 1, dtype=np.int16)
     for a in range(1, math.isqrt(n) + 1):
@@ -327,6 +331,8 @@ def divisors_in_interval_indicator(n: int, y: float, z: float) -> np.ndarray:
         raise UsageError(f"need finite y and z, got y={y}, z={z}")
     if n < 1:
         raise UsageError("n must be >= 1")
+    if n > _SIEVE_MAX_N:
+        raise ResourceGuardError("divisor-interval sieve beyond n = 1e9 exceeds the memory guard")
     marked = np.zeros(n + 1, dtype=bool)
     d_lo = max(math.floor(y) + 1, 1)
     d_hi = min(math.ceil(z) - 1, n)

@@ -1,10 +1,12 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import platform
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -44,6 +46,17 @@ def reference_text(lo, hi, k, colour_of):
     for m in sorted(colour_of):
         out += "%d %d\n" % (m, colour_of[m])
     return out
+
+
+def run_python(code, **env):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    prodschur, with no OPENBLAS_NUM_THREADS unless `env` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(prodschur.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_colouring(rnd, lo, hi, k, density):
@@ -395,17 +408,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["threshold", "--n", "100", "--c", "1", "--trials", "2", "--seed", "1"],
-        ["construct", "--name", "mod5", "--n", "20", "--out", "{out}"]])
+        ["construct", "--name", "mod5", "--n", "20", "--out", "{out}"],
+        ["schur", "--k", "3", "--out", "{out}"]])
     def test_bad_worker_count_is_usage(self, argv, tmp_path, monkeypatch, capsys):
         """PRODSCHUR_WORKERS is outside input: a value int() rejects exited
-        4, and a construct run did all its work before it failed."""
+        4, and a construct or schur run did all its work before it failed.
+        A run that writes a manifest reads it before any work."""
         monkeypatch.setenv("PRODSCHUR_WORKERS", "abc")
         out = tmp_path / "artifact.txt"
         assert main([a.format(out=out) for a in argv]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
-            "error: PRODSCHUR_WORKERS must be an integer, got 'abc'\n")
+        assert captured.err == "error: PRODSCHUR_WORKERS must be an integer, got 'abc'\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_value_error_is_usage(self, capsys):
@@ -463,6 +477,16 @@ class TestExitCodes:
         assert out == ""
         assert err == ("resource guard: product-triple census beyond n = 1e16 "
                        "exceeds the time guard\n")
+
+    def test_table_sieve_beyond_its_guard_is_three(self, capsys):
+        """The table sieve allocated and touched n + 1 bools with no guard
+        (5 GB at n = 5e9); it now shares the divisor table's limit."""
+        argv = ["count", "--what", "table", "--n", "1000000001", "--y", "2", "--z", "3"]
+        assert main(argv) == EXIT_GUARD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("resource guard: divisor-interval sieve beyond n = 1e9 "
+                       "exceeds the memory guard\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--y", "2", "--z", "inf"], "need finite y and z, got y=2.0, z=inf"),
@@ -609,11 +633,14 @@ class TestCommands:
         """In-process calls record their own argv, not the host's; with no
         argv, main parses and records the process's arguments.  The config
         digest does not depend on how main was called."""
-        out = str(tmp_path / "eleven.txt")
-        argv = ["construct", "--name", "eleven", "--n", "11", "--out", out]
-        assert main(argv) == EXIT_OK
-        manifest = json.loads(Path(out + ".manifest.json").read_text())
-        assert manifest["command"] == " ".join(argv)
+        for name in ("eleven.txt", "my run.txt"):  # the command re-runs verbatim
+            out = str(tmp_path / name)
+            argv = ["construct", "--name", "eleven", "--n", "11", "--out", out]
+            assert main(argv) == EXIT_OK
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
+            assert shlex.split(manifest["command"]) == argv
+            if " " not in out:
+                assert manifest["command"] == " ".join(argv)
         sweep = ["threshold", "--n", "500", "--c", "1", "--trials", "3", "--seed", "2"]
         monkeypatch.setattr(sys, "argv", ["prodschur"] + sweep)
         for call in (lambda: main(sweep), main):
@@ -742,10 +769,7 @@ class TestCommands:
     def test_start_up_leaves_the_process_pool_unimported(self):
         code = ("import sys, prodschur.cli; "
                 "sys.exit('concurrent.futures' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(prodschur.__file__).parents[1])]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert run_python(code).returncode == 0
 
     def test_threshold_csv_deterministic(self, tmp_path):
         args = ["threshold", "--n", "2000", "--c", "0.3,3", "--trials", "10",
@@ -765,3 +789,97 @@ class TestCommands:
         assert lines[0] == ("n,c,p,trials,successes,frequency,"
                             "alpha,beta_alpha,blocker_size")
         assert len(lines) == 3
+
+
+# the parent's `prodschur.__all__`, by home module; a submodule is its own home
+EXPORTS = {
+    "core": ["core", "Colouring", "ExperimentRecord", "IntegerSubset", "Interval",
+             "ResourceGuardError", "SolverOutcome", "TripleSystem", "UsageError"],
+    "solver": ["solver", "SearchConfig", "SearchInconclusive", "exists_good_colouring",
+               "is_k_schur", "max_non_schur_subset", "schur_bounds", "schur_number"],
+    "constructions": ["constructions", "KNOWN_DOUBLE_SUM_SCHUR", "KNOWN_SCHUR",
+                      "alpha_for_rate", "divisor_interval_rate",
+                      "eleven_interval_colouring", "integer_nth_root",
+                      "log_partition_boundaries", "max_non_schur_size_bounds",
+                      "mod5_colouring", "perturbed_blocker_set", "product_free_colouring",
+                      "threshold_exponent_offset", "verify_colouring_free"],
+    "counting": ["counting", "TableCountEstimate", "TripleCount", "count_monochromatic",
+                 "count_product_triples", "divisor_count_table",
+                 "divisors_in_interval_indicator", "erdos_ford_delta", "has_mono_triple",
+                 "max_divisor_count", "min_monochromatic_bruteforce",
+                 "multiplication_table_count", "supersaturation_count"],
+    "randomlab": ["randomlab", "ProbabilityRule", "SweepPlan", "contains_product_triple",
+                  "degree_structure", "derive_seed", "perturbed_sweep",
+                  "sample_random_subset", "threshold_sweep"],
+}
+
+# one CLI run in a fresh interpreter, then the thread cap variable and the
+# number of the process's threads
+CLI_RUN = """
+import os, runpy, sys
+sys.argv = ["prodschur", "count", "--what", "triples", "--n", "100"]
+try:
+    {call}
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+"""
+LINUX_TASKS = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="counts threads in /proc/self/task")
+
+
+class TestStartUp:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        code = ("import sys, prodschur; print(sorted(m for m in sys.modules if m == 'numpy' "
+                "or m.startswith(('numpy.', 'prodschur.'))))")
+        proc = run_python(code)
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+    def test_all_keeps_its_names_and_each_resolves_at_home(self):
+        assert prodschur.__all__ == sorted(n for names in EXPORTS.values() for n in names)
+        for home, names in EXPORTS.items():
+            module = importlib.import_module(f"prodschur.{home}")
+            for name in names:
+                want = module if name == home else getattr(module, name)
+                assert getattr(prodschur, name) is want, name
+
+    def test_unknown_name_and_dir(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            prodschur.no_such_name
+        assert "__all__" in dir(prodschur)
+        assert set(prodschur.__all__) <= set(dir(prodschur))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from prodschur import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(prodschur.__all__)
+
+    @LINUX_TASKS
+    @pytest.mark.parametrize("call", [
+        'runpy.run_module("prodschur.cli", run_name="__main__", alter_sys=True)',
+        "from prodschur.__main__ import main; main()"], ids=["cli", "package"])
+    def test_cli_process_runs_one_thread(self, call):
+        """numpy's OpenBLAS started a worker thread per extra core, which
+        only spun: the library calls no BLAS."""
+        proc = run_python(CLI_RUN.format(call=call))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "total: 146"
+        assert proc.stdout.splitlines()[-1] == "1 1"
+
+    @LINUX_TASKS
+    def test_cli_keeps_a_set_thread_count(self):
+        call = "from prodschur.__main__ import main; main()"
+        proc = run_python(CLI_RUN.format(call=call), OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split()[0] == "2"
+
+    def test_importing_leaves_the_environment(self):
+        code = ("import importlib, os, pkgutil, prodschur; before = dict(os.environ); "
+                "names = [m.name for m in pkgutil.iter_modules(prodschur.__path__)]; "
+                "[importlib.import_module('prodschur.' + name) for name in names]; "
+                "assert 'cli' in names and '__main__' in names, names; "
+                "assert dict(os.environ) == before; "
+                "print('OPENBLAS_NUM_THREADS' in os.environ)")
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -625,6 +625,20 @@ class TestMultiplicationTable:
         with pytest.raises(UsageError, match="need finite y and z"):
             multiplication_table_count(100, y, z)
 
+    def test_guard_before_the_sieve(self, monkeypatch):
+        """The sieve allocated and touched n + 1 bools with no guard (5 GB
+        at n = 5e9); it now refuses past the divisor table's limit, before
+        any array is built."""
+        def zeros(*args, **kwargs):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(counting.np, "zeros", zeros)
+        for n in (10 ** 9 + 1, 5 * 10 ** 9):
+            with pytest.raises(ResourceGuardError, match="memory guard"):
+                divisors_in_interval_indicator(n, 2, 3)
+            with pytest.raises(ResourceGuardError, match="memory guard"):
+                multiplication_table_count(n, 2, 3)
+
     def test_oracle_random_instances(self, rng):
         for _ in range(30):
             n = rng.randint(10, 2000)
